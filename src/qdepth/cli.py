@@ -22,10 +22,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tarfile
 import tempfile
 import time
-import urllib.request
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -337,6 +335,9 @@ def cmd_export(args) -> int:
 
 
 def cmd_fetch(args) -> int:
+    import tarfile
+    import urllib.request
+
     wanted = args.sets or sorted(SATLIB_SETS)
     unknown = [s for s in wanted if s not in SATLIB_SETS]
     if unknown:

@@ -15,6 +15,11 @@ cheap randomized heuristic: repeatedly substitute a pair covering the most
 uncovered clauses.  `enumerate_exact` brute-forces all 3^|C| covers and
 exists to cross-check the integer program on small inputs.
 
+numpy and scipy are imported inside `solve_ip_exact` and nowhere else, so
+building or exporting the program and the heuristics never load them; on
+the command line only `gvs-ip` (in `analyze` and `histogram`) and `compare`
+do.
+
 The degree model inside the program counts one interaction per clause
 occurrence, matching the closed-form degree table rather than the deduped
 interaction graph; the two agree whenever no two clauses share all three
@@ -32,10 +37,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Sequence
-
-import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .cnf import Instance
 from .gvs import Cover, gvs_max_degree, make_cover
@@ -107,10 +108,11 @@ def build_ip(instance: Instance) -> IpModel:
     pairs = list(iter_pairs_sorted(candidate_pairs(instance)))
     quad = {tuple(sorted(p)) for p in quadratic_pairs(instance)}
     covs = coverings(instance)
+    cov_pairs = [tuple(sorted(c.pair)) for c in covs]
 
     names = ["obj"]
     names += [f"y_{_pair_tag(p)}" for p in pairs]
-    names += [f"z_c{c.clause}_{_pair_tag(c.pair)}" for c in covs]
+    names += [f"z_c{c.clause}_{a}_{b}" for c, (a, b) in zip(covs, cov_pairs)]
 
     y_index = {p: 1 + i for i, p in enumerate(pairs)}
     z_base = 1 + len(pairs)
@@ -120,41 +122,34 @@ def build_ip(instance: Instance) -> IpModel:
     objective += [tiebreak] * len(pairs)
     objective += [Fraction(0)] * len(covs)
 
-    rows = []
-    for a in instance.used_variables():
-        coeffs: dict[int, Fraction] = {0: Fraction(-1)}
-        for p in pairs:
-            if a in p:
-                coeffs[y_index[p]] = Fraction(4 - (p in quad))
-        num_quad = sum(1 for p in quad if a in p)
-        for k, cov in enumerate(covs):
-            if cov.free == a:
-                coeffs[z_base + k] = Fraction(1)
-        rows.append((f"deg_v_{a}", tuple(sorted(coeffs.items())), "<=",
-                     Fraction(-num_quad)))
-
+    # one pass over the coverings fills every row's coefficients; indices
+    # go in ascending (variable, then pair, then covering) order, so each
+    # dict is already sorted
+    one = Fraction(1)
+    num_quad = Counter(v for p in quad for v in p)
+    var_rows = {a: {0: -one} for a in instance.used_variables()}
     for p in pairs:
-        coeffs = {0: Fraction(-1)}
-        for k, cov in enumerate(covs):
-            if tuple(sorted(cov.pair)) == p:
-                coeffs[z_base + k] = Fraction(1)
-        rows.append((f"deg_s_{_pair_tag(p)}", tuple(sorted(coeffs.items())),
-                     "<=", Fraction(-5)))
+        weight = Fraction(4 - (p in quad))
+        for a in p:
+            var_rows[a][y_index[p]] = weight
+    pair_rows = {p: {0: -one} for p in pairs}
+    clause_rows: list[dict[int, Fraction]] = [{} for _ in range(m)]
+    links = []
+    for k, (cov, p) in enumerate(zip(covs, cov_pairs)):
+        z = z_base + k
+        var_rows[cov.free][z] = one
+        pair_rows[p][z] = one
+        clause_rows[cov.clause][z] = one
+        links.append((f"link_{p[0]}_{p[1]}_c{cov.clause}",
+                      ((y_index[p], -one), (z, one)), "<=", Fraction(0)))
 
-    for c in range(m):
-        coeffs = {
-            z_base + k: Fraction(1)
-            for k, cov in enumerate(covs)
-            if cov.clause == c
-        }
-        rows.append((f"cover_c{c}", tuple(sorted(coeffs.items())), "=",
-                     Fraction(1)))
-
-    for k, cov in enumerate(covs):
-        coeffs = {z_base + k: Fraction(1),
-                  y_index[tuple(sorted(cov.pair))]: Fraction(-1)}
-        rows.append((f"link_{_pair_tag(cov.pair)}_c{cov.clause}",
-                     tuple(sorted(coeffs.items())), "<=", Fraction(0)))
+    rows = [(f"deg_v_{a}", tuple(coeffs.items()), "<=", Fraction(-num_quad[a]))
+            for a, coeffs in var_rows.items()]
+    rows += [(f"deg_s_{_pair_tag(p)}", tuple(coeffs.items()), "<=",
+              Fraction(-5)) for p, coeffs in pair_rows.items()]
+    rows += [(f"cover_c{c}", tuple(coeffs.items()), "=", one)
+             for c, coeffs in enumerate(clause_rows)]
+    rows += links
 
     return IpModel(
         instance=instance,
@@ -198,7 +193,7 @@ def _degree_lower_bound(dual_bound: float, num_pairs: int, m: int) -> int | None
     return max(0, math.ceil(bound))
 
 
-def _extract_cover(model: IpModel, x: np.ndarray) -> Cover:
+def _extract_cover(model: IpModel, x: Sequence[float]) -> Cover:
     m = model.instance.num_clauses
     z_base = 1 + len(model.pairs)
     choice: list[tuple[int, int] | None] = [None] * m
@@ -224,6 +219,10 @@ def solve_ip_exact(
     instance: Instance, budget_secs: float = DEFAULT_BUDGET_SECS
 ) -> IpSolution:
     """Minimize the substituted max degree, exactly, within a time budget."""
+    import numpy as np
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     model = build_ip(instance)
     n = model.num_variables
 

@@ -1,8 +1,9 @@
 """Shared test oracles, deliberately independent of the package internals.
 
-The brute-force evaluators here enumerate assignments with numpy bit tricks
-and never reuse the package's own polynomial arithmetic beyond reading term
-dictionaries, so agreement between the two routes is meaningful.
+The brute-force evaluators here tabulate every assignment with a numpy
+subset-sum transform and never reuse the package's own polynomial
+arithmetic beyond reading term dictionaries, so agreement between the two
+routes is meaningful.
 """
 
 from __future__ import annotations
@@ -17,42 +18,41 @@ import numpy as np
 from qdepth.pubo import InteractionGraph, Polynomial, VarId
 
 
-def all_assignments(variables):
-    """(2^n, n) uint8 matrix; row k is the binary expansion of k."""
+def evaluate_all(poly: Polynomial, variables) -> tuple[np.ndarray, int]:
+    """Evaluate poly on every 0/1 assignment, exactly, scaled to int64.
+
+    Index k of the result is the assignment whose bit j is the value of
+    variables[j].  The result is (values, denominator): values[k] /
+    denominator is the exact rational value at k.  Each term's scaled
+    coefficient goes in at its support's bitmask, then a subset-sum (zeta)
+    transform adds every mask's entry into all of its supersets.
+    """
     n = len(variables)
     if n > 24:
         raise ValueError(f"refusing to enumerate 2^{n} assignments")
-    counters = np.arange(1 << n, dtype=np.uint32)
-    bits = (counters[:, None] >> np.arange(n, dtype=np.uint32)) & 1
-    return bits.astype(np.uint8)
-
-
-def evaluate_matrix(poly: Polynomial, variables, bits: np.ndarray) -> np.ndarray:
-    """Evaluate poly on every row of bits. Returns exact values scaled to int64.
-
-    The result is (values, denominator): values[k] / denominator is the exact
-    rational value on row k.
-    """
-    var_index = {v: j for j, v in enumerate(variables)}
+    bit = {v: 1 << j for j, v in enumerate(variables)}
     terms = poly.terms
     denom = math.lcm(*(c.denominator for c in terms.values())) if terms else 1
-    total = np.zeros(bits.shape[0], dtype=np.int64)
+    total = np.zeros(1 << n, dtype=np.int64)
     for support, coeff in terms.items():
         scaled = coeff * denom
         assert scaled.denominator == 1
-        mask = np.ones(bits.shape[0], dtype=bool)
-        for v in support:
-            mask &= bits[:, var_index[v]] == 1
-        total[mask] += int(scaled)
+        total[sum(bit[v] for v in support)] += int(scaled)
+    for j in range(n):
+        view = total.reshape(-1, 2, 1 << j)
+        view[:, 1] += view[:, 0]
     return total, denom
+
+
+def _assignment(variables, k: int) -> dict:
+    return {v: k >> j & 1 for j, v in enumerate(variables)}
 
 
 def brute_force_extrema(poly: Polynomial, variables=None):
     """Exact (min, max) of poly over all 0/1 assignments, as Fractions."""
     if variables is None:
         variables = sorted(poly.variables())
-    bits = all_assignments(variables)
-    values, denom = evaluate_matrix(poly, variables, bits)
+    values, denom = evaluate_all(poly, variables)
     return Fraction(int(values.min()), denom), Fraction(int(values.max()), denom)
 
 
@@ -60,25 +60,17 @@ def brute_force_argmax(poly: Polynomial, variables=None):
     """All maximizing assignments as dicts VarId -> 0/1."""
     if variables is None:
         variables = sorted(poly.variables())
-    bits = all_assignments(variables)
-    values, _ = evaluate_matrix(poly, variables, bits)
-    best = values.max()
-    rows = np.nonzero(values == best)[0]
-    return [
-        {v: int(bits[r, j]) for j, v in enumerate(variables)} for r in rows
-    ]
+    values, _ = evaluate_all(poly, variables)
+    rows = np.nonzero(values == values.max())[0]
+    return [_assignment(variables, int(r)) for r in rows]
 
 
 def brute_force_argmin(poly: Polynomial, variables=None):
     if variables is None:
         variables = sorted(poly.variables())
-    bits = all_assignments(variables)
-    values, _ = evaluate_matrix(poly, variables, bits)
-    best = values.min()
-    rows = np.nonzero(values == best)[0]
-    return [
-        {v: int(bits[r, j]) for j, v in enumerate(variables)} for r in rows
-    ]
+    values, _ = evaluate_all(poly, variables)
+    rows = np.nonzero(values == values.min())[0]
+    return [_assignment(variables, int(r)) for r in rows]
 
 
 def interpolate_multilinear(func, variables):

@@ -25,16 +25,31 @@ def example1_path(tmp_path):
     return path
 
 
-def run_cli(*argv, env_extra=None):
+def run_python(*args, env_extra=None):
     env = dict(os.environ)
     env.pop("QDEPTH_BUDGET_SECS", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "qdepth", *map(str, argv)],
+        [sys.executable, *map(str, args)],
         capture_output=True,
         env=env,
     )
+
+
+def run_cli(*argv, env_extra=None):
+    return run_python("-m", "qdepth", *argv, env_extra=env_extra)
+
+
+# runs qdepth.cli.main on argv, then reports on stderr which of the modules
+# only a solve or a download needs got imported along the way
+HEAVY_PROBE = """
+import sys
+from qdepth.cli import main
+rc = main(sys.argv[1:])
+heavy = ("numpy", "scipy", "urllib.request", "tarfile")
+print(rc, *(m for m in heavy if m in sys.modules), file=sys.stderr)
+"""
 
 
 class TestInspect:
@@ -236,6 +251,30 @@ class TestFetch:
         (tmp_path / "uf20-01.cnf").write_text(to_dimacs(example1()))
         assert main(["fetch", "uf20-91", "--dest", str(tmp_path)]) == 0
         assert "already present" in capsys.readouterr().out
+
+
+class TestImportBoundary:
+    @pytest.mark.parametrize("argv", [
+        ("inspect", "example1"),
+        ("analyze", "example1", "--method", "linear"),
+        ("analyze", "example1", "--method", "native3"),
+        ("analyze", "example1", "--method", "gvs-greedy"),
+        ("histogram", "example1", "--method", "linear"),
+        ("export", "example1"),
+    ], ids=["inspect", "linear", "native3", "gvs-greedy", "histogram-linear",
+            "export"])
+    def test_non_solving_commands_skip_solver_stack(self, argv):
+        proc = run_python("-c", HEAVY_PROBE, *argv)
+        assert proc.stdout
+        assert proc.stderr.decode().split() == ["0"]
+
+    def test_exact_solve_loads_scipy(self):
+        proc = run_python("-c", HEAVY_PROBE, "analyze", "example1",
+                          "--method", "gvs-ip")
+        rc, *heavy = proc.stderr.decode().split()
+        assert rc == "0"
+        assert {"numpy", "scipy"} <= set(heavy)
+        assert proc.stdout
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ import pytest
 
 from qdepth.cnf import example1, make_instance
 from qdepth.gvs import gvs_max_degree
+from qdepth.product import candidate_pairs, coverings, quadratic_pairs
 from qdepth.optimize import (
     build_ip,
     compare_instance,
@@ -26,7 +27,71 @@ def row_by_name(model, name):
     return {name_of[j]: v for j, v in coeffs}, sense, rhs
 
 
+def reference_ip(instance):
+    """(names, objective, rows) of the pair-selection program, built by the
+    plain nested scans over variables, pairs, clauses and coverings."""
+    m = instance.num_clauses
+    pairs = sorted(tuple(sorted(p)) for p in candidate_pairs(instance))
+    quad = {tuple(sorted(p)) for p in quadratic_pairs(instance)}
+    covs = coverings(instance)
+
+    def tag(pair):
+        a, b = sorted(pair)
+        return f"{a}_{b}"
+
+    names = ["obj"] + [f"y_{tag(p)}" for p in pairs]
+    names += [f"z_c{c.clause}_{tag(c.pair)}" for c in covs]
+    y_index = {p: 1 + i for i, p in enumerate(pairs)}
+    z_base = 1 + len(pairs)
+    objective = [Fraction(1)] + [Fraction(1, 10 * m)] * len(pairs)
+    objective += [Fraction(0)] * len(covs)
+
+    rows = []
+    for a in instance.used_variables():
+        coeffs = {0: Fraction(-1)}
+        for p in pairs:
+            if a in p:
+                coeffs[y_index[p]] = Fraction(4 - (p in quad))
+        for k, cov in enumerate(covs):
+            if cov.free == a:
+                coeffs[z_base + k] = Fraction(1)
+        rhs = Fraction(-sum(1 for p in quad if a in p))
+        rows.append((f"deg_v_{a}", tuple(sorted(coeffs.items())), "<=", rhs))
+    for p in pairs:
+        coeffs = {0: Fraction(-1)}
+        for k, cov in enumerate(covs):
+            if tuple(sorted(cov.pair)) == p:
+                coeffs[z_base + k] = Fraction(1)
+        rows.append((f"deg_s_{tag(p)}", tuple(sorted(coeffs.items())), "<=",
+                     Fraction(-5)))
+    for c in range(m):
+        coeffs = {z_base + k: Fraction(1)
+                  for k, cov in enumerate(covs) if cov.clause == c}
+        rows.append((f"cover_c{c}", tuple(sorted(coeffs.items())), "=",
+                     Fraction(1)))
+    for k, cov in enumerate(covs):
+        coeffs = {z_base + k: Fraction(1),
+                  y_index[tuple(sorted(cov.pair))]: Fraction(-1)}
+        rows.append((f"link_{tag(cov.pair)}_c{cov.clause}",
+                     tuple(sorted(coeffs.items())), "<=", Fraction(0)))
+    return tuple(names), tuple(objective), tuple(rows)
+
+
 class TestModel:
+    def test_matches_nested_scan_construction(self):
+        rng = random.Random(29)
+        repeated_triple = make_instance([(1, 2, 3), (-1, 2, 3), (3, 4, 5)])
+        instances = [example1(), repeated_triple]
+        for n, m in ((5, 4), (8, 12), (12, 30), (20, 85)):
+            instances.append(
+                make_instance(random_3sat_instance(rng, n, m), num_vars=n))
+        for inst in instances:
+            model = build_ip(inst)
+            names, objective, rows = reference_ip(inst)
+            assert model.names == names
+            assert model.objective == objective
+            assert model.rows == rows
+
     def test_example1_shape(self):
         model = build_ip(example1())
         # 9 candidate pairs, 12 coverings
