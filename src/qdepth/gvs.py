@@ -37,6 +37,16 @@ correction removes the double count when the pair's own quadratic edge
 already exists in the penalty block.  Cover counts are clause multisets;
 with repeated identical variable triples the formulas count a merged edge
 twice, so callers wanting exact graph equality should keep triples distinct.
+
+The edge count has a closed form too, exact for every cover:
+
+    |E| = |P ∪ U| + 9*|U| + |{(u, x) : x is free in some clause u covers}|
+
+Variable-variable edges are the quadratic pairs surviving in substituted
+clauses plus each used pair's own edge from its penalty block.  Every used
+pair's block adds 9 edges at its ancillas (u-x_i, u-x_j, u-d1, u-d2, u-d3,
+d1-x_i, d1-x_j, d2-x_i, d3-x_j), and every substituted clause adds a u-free
+edge, merged across clauses with the same pair and free variable.
 """
 
 from __future__ import annotations
@@ -224,14 +234,19 @@ def gvs_degree_table(instance: Instance, cover: Cover) -> dict[VarId, int]:
     free_counts = Counter(cover_free_variables(instance, cover))
     cover_counts = Counter(cover.pairs)
 
+    # per variable: 4 per used pair holding it (3 if that pair is also
+    # quadratic), plus 1 per quadratic pair holding it
+    pair_terms: Counter[int] = Counter()
+    for s in used:
+        for v in s:
+            pair_terms[v] += 3 if s in P else 4
+    for p in P:
+        for v in p:
+            pair_terms[v] += 1
+
     table: dict[VarId, int] = {}
     for v in instance.used_variables():
-        in_used = sum(1 for s in used if v in s)
-        in_used_quadratic = sum(1 for s in used if v in s and s in P)
-        in_quadratic = sum(1 for p in P if v in p)
-        table[VarId.x(v)] = (
-            4 * in_used - in_used_quadratic + in_quadratic + free_counts[v]
-        )
+        table[VarId.x(v)] = pair_terms[v] + free_counts[v]
     for pair in used:
         idx = tuple(sorted(pair))
         table[VarId.sub(idx)] = 5 + cover_counts[pair]
@@ -248,14 +263,17 @@ def gvs_max_degree(instance: Instance, cover: Cover) -> int:
 def gvs_report(instance: Instance, cover: Cover) -> DepthReport:
     used_vars = instance.used_variables()
     num_subs = cover.num_substitutions
-    graph = gvs_derived_graph(instance, cover)
     delta = gvs_max_degree(instance, cover)
+    used = set(cover.pairs)
+    free_keys = set(zip(cover.pairs, cover_free_variables(instance, cover)))
+    num_edges = (len(quadratic_pairs(instance) | used) + 9 * num_subs
+                 + len(free_keys))
     return DepthReport(
         formulation="gvs",
         num_problem_vars=len(used_vars),
         num_ancillas=4 * num_subs,
         num_qubits=len(used_vars) + 4 * num_subs,
-        num_interactions=len(graph.edges),
+        num_interactions=num_edges,
         max_degree=delta,
         depth_upper=delta + 2,
         depth_lower=delta + 1,

@@ -29,6 +29,13 @@ where C_i are the clauses containing x_i and C_ij those containing both:
 five fresh neighbors per clause, minus repeat edges to co-variables seen in
 more than one shared clause.  Ancillas live in one clause only, so their
 degree is always 5.
+
+For the same reason the edge count is
+
+    |E| = 12*|C| + |candidate pairs|
+
+per clause 3 ancilla-ancilla and 9 ancilla-variable edges, never shared,
+while the variable-variable edges are exactly the pairs sharing a clause.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .cnf import DegenerateClauseError, Instance, clause_incidence
+from .product import candidate_pairs
 from .pubo import (
     InteractionGraph,
     Polynomial,
@@ -120,25 +128,29 @@ def linear_derived_graph(instance: Instance) -> InteractionGraph:
     )
 
 
+def _variable_degree(instance: Instance, var: int, clauses) -> int:
+    covar_multiplicity: Counter[int] = Counter()
+    for c in clauses:
+        for other in instance.clause_vars(c):
+            if other != var:
+                covar_multiplicity[other] += 1
+    repeats = sum(m - 1 for m in covar_multiplicity.values())
+    return 5 * len(clauses) - repeats
+
+
 def linear_degree(instance: Instance, var: int) -> int:
     """Closed-form degree of problem variable `var` in the derived graph."""
     incidence = clause_incidence(instance)
     if var not in incidence:
         raise IsolatedVariableError(f"variable {var} occurs in no clause")
-    covar_multiplicity: Counter[int] = Counter()
-    for c in incidence[var]:
-        for other in instance.clause_vars(c):
-            if other != var:
-                covar_multiplicity[other] += 1
-    repeats = sum(m - 1 for m in covar_multiplicity.values())
-    return 5 * len(incidence[var]) - repeats
+    return _variable_degree(instance, var, incidence[var])
 
 
 def linear_degree_table(instance: Instance) -> dict[VarId, int]:
     """Closed-form degrees for every vertex of the derived graph."""
     table: dict[VarId, int] = {}
-    for v in instance.used_variables():
-        table[VarId.x(v)] = linear_degree(instance, v)
+    for v, clauses in clause_incidence(instance).items():
+        table[VarId.x(v)] = _variable_degree(instance, v, clauses)
     for a in linear_ancillas(instance):
         table[a] = 5
     return table
@@ -151,14 +163,14 @@ def linear_max_degree(instance: Instance) -> int:
 def linear_report(instance: Instance) -> DepthReport:
     used = instance.used_variables()
     num_ancillas = 3 * instance.num_clauses
-    graph = linear_derived_graph(instance)
+    num_edges = 12 * instance.num_clauses + len(candidate_pairs(instance))
     delta = linear_max_degree(instance)
     return DepthReport(
         formulation="linear",
         num_problem_vars=len(used),
         num_ancillas=num_ancillas,
         num_qubits=len(used) + num_ancillas,
-        num_interactions=len(graph.edges),
+        num_interactions=num_edges,
         max_degree=delta,
         depth_upper=delta + 2,
         depth_lower=delta + 1,

@@ -12,8 +12,13 @@ objective is the max degree plus a tie-break on the number of substitutions
 to HiGHS through scipy; results are re-scored in exact rational arithmetic,
 so the reported optimum never inherits float error.  `greedy_cover` is the
 cheap randomized heuristic: repeatedly substitute a pair covering the most
-uncovered clauses.  `enumerate_exact` brute-forces all 3^|C| covers and
-exists to cross-check the integer program on small inputs.
+uncovered clauses, drawing uniformly among the tied pairs in sorted order.
+It keeps every pair's gain exact incrementally, in buckets by gain, so a
+round costs the clauses it covers rather than a rescan of all pairs; the
+tied set and the rng draws are those of a full rescan.  `greedy_batch`
+builds the pair/clause index once and reuses it for every seed.
+`enumerate_exact` brute-forces all 3^|C| covers and exists to cross-check
+the integer program on small inputs.
 
 numpy and scipy are imported inside `solve_ip_exact` and nowhere else, so
 building or exporting the program and the heuristics never load them; on
@@ -32,6 +37,7 @@ import math
 import random
 import statistics
 import time
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -390,26 +396,75 @@ def export_lp(model: IpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+@dataclass(frozen=True)
+class _CoverIndex:
+    """The covering relation of one instance, integer-indexed for greedy.
+
+    Pair ids follow sorted pair order, so a sorted list of ids is a sorted
+    list of pairs.
+    """
+
+    pairs: tuple[tuple[int, int], ...]
+    reach: tuple[tuple[int, ...], ...]           # pair id -> its clauses
+    clause_pairs: tuple[tuple[int, ...], ...]    # clause -> its 3 pair ids
+
+
+def _cover_index(instance: Instance) -> _CoverIndex:
+    graph = {tuple(sorted(p)): cs for p, cs in covering_graph(instance).items()}
+    pairs = tuple(sorted(graph))
+    reach = tuple(graph[p] for p in pairs)
+    clause_pairs: list[list[int]] = [[] for _ in range(instance.num_clauses)]
+    for i, cs in enumerate(reach):
+        for c in cs:
+            clause_pairs[c].append(i)
+    return _CoverIndex(pairs, reach, tuple(map(tuple, clause_pairs)))
+
+
+def _greedy_from_index(
+    instance: Instance, index: _CoverIndex, rng: random.Random
+) -> Cover:
+    gain = [len(cs) for cs in index.reach]
+    # buckets[g]: ids of the unpicked pairs of gain g, ascending
+    buckets: list[list[int]] = [[] for _ in range(max(gain, default=0) + 1)]
+    for i, g in enumerate(gain):
+        buckets[g].append(i)
+    top = len(buckets) - 1
+    assignment: list[tuple[int, int] | None] = [None] * len(index.clause_pairs)
+    remaining = len(assignment)
+    while remaining:
+        while not buckets[top]:
+            top -= 1
+        bucket = buckets[top]
+        pick = rng.choice(bucket)
+        del bucket[bisect_left(bucket, pick)]
+        pair = index.pairs[pick]
+        for c in index.reach[pick]:
+            if assignment[c] is not None:
+                continue
+            assignment[c] = pair
+            remaining -= 1
+            for q in index.clause_pairs[c]:
+                if q == pick:
+                    continue
+                g = gain[q]
+                del buckets[g][bisect_left(buckets[g], q)]
+                insort(buckets[g - 1], q)
+                gain[q] = g - 1
+    return make_cover(instance, assignment)
+
+
 def greedy_cover(instance: Instance, seed: int | random.Random = 0) -> Cover:
     """Pick the pair covering the most uncovered clauses, repeat, tie-break
-    uniformly at random."""
+    uniformly at random.
+
+    Each round draws `rng.choice` over the tied pairs in sorted order.  The
+    gains are kept exact incrementally rather than recounted: unpicked
+    pairs sit in buckets by gain, and covering a clause moves its other two
+    pairs one bucket down.  The top bucket is then exactly the tied set, so
+    a seed always yields the same cover.
+    """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    reach = {
-        tuple(sorted(p)): frozenset(cs)
-        for p, cs in covering_graph(instance).items()
-    }
-    uncovered = set(range(instance.num_clauses))
-    available = set(reach)
-    assignment: list[tuple[int, int] | None] = [None] * instance.num_clauses
-    while uncovered:
-        gains = {p: len(reach[p] & uncovered) for p in available}
-        top = max(gains.values())
-        pick = rng.choice(sorted(p for p, g in gains.items() if g == top))
-        for c in reach[pick] & uncovered:
-            assignment[c] = pick
-        uncovered -= reach[pick]
-        available.remove(pick)
-    return make_cover(instance, assignment)
+    return _greedy_from_index(instance, _cover_index(instance), rng)
 
 
 @dataclass(frozen=True)
@@ -431,9 +486,10 @@ class GreedySummary:
 def greedy_batch(
     instance: Instance, seeds: Iterable[int] = range(20)
 ) -> GreedySummary:
+    index = _cover_index(instance)
     depths, subs = [], []
     for seed in seeds:
-        cover = greedy_cover(instance, seed)
+        cover = _greedy_from_index(instance, index, random.Random(seed))
         depths.append(gvs_max_degree(instance, cover) + 2)
         subs.append(cover.num_substitutions)
     return GreedySummary(tuple(depths), tuple(subs))

@@ -151,9 +151,12 @@ def depth_report_text(report: DepthReport) -> str:
 def comparison_table_text(rows) -> str:
     headers = ["instance", "n", "|C|", "linear", "ip", "subs", "status",
                "greedy", "subs", "seeds"]
+    timed = any(r.wall_time is not None for r in rows)
+    if timed:
+        headers.append("time")
     table = [headers]
     for r in rows:
-        table.append([
+        cells = [
             r.name,
             str(r.num_vars),
             str(r.num_clauses),
@@ -164,7 +167,10 @@ def comparison_table_text(rows) -> str:
             str(r.greedy_depth),
             str(r.greedy_substitutions),
             str(r.num_seeds),
-        ])
+        ]
+        if timed:
+            cells.append("-" if r.wall_time is None else f"{r.wall_time:.3f}s")
+        table.append(cells)
     widths = [max(len(row[j]) for row in table) for j in range(len(headers))]
     out = []
     for i, row in enumerate(table):

@@ -161,6 +161,20 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "instance" in out and "example1" in out
 
+    def test_text_table_timings(self, example1_path, capsys):
+        assert main(["compare", str(example1_path), "--seeds", "2"]) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert "time" not in plain[0]
+        assert main(["compare", str(example1_path), "--seeds", "2",
+                     "--timings"]) == 0
+        timed = capsys.readouterr().out.splitlines()
+        assert timed[0].split()[-1] == "time"
+        # the timed table is the plain one with a trailing time column
+        for before, after in zip(plain, timed):
+            assert after.startswith(before)
+        seconds = timed[2].split()[-1]
+        assert seconds.endswith("s") and float(seconds[:-1]) > 0
+
 
 class TestHistogram:
     def test_json(self, example1_path, capsys):

@@ -1,10 +1,12 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qdepth.cnf import example1, make_instance
+from qdepth.cnf import DegenerateClauseError, example1, make_instance
 from qdepth.gvs import (
     Cover,
     GeneralSubstitution,
@@ -23,8 +25,9 @@ from qdepth.gvs import (
     substitution_penalty,
     substitution_residuals,
 )
-from qdepth.linear import InvalidPenaltyError
-from qdepth.product import product_objective
+from qdepth.linear import InvalidPenaltyError, linear_derived_graph, linear_report
+from qdepth.optimize import greedy_cover
+from qdepth.product import product_objective, quadratic_pairs
 from qdepth.pubo import (
     Polynomial,
     VarId,
@@ -246,6 +249,83 @@ class TestDegrees:
         assert len(gvs_ancillas(example1_cover())) == 8
 
 
+def reference_degree_table(instance, cover):
+    """gvs_degree_table by per-variable scans over the used and quadratic
+    pairs, the way the closed form reads."""
+    P = quadratic_pairs(instance)
+    used = cover.used
+    free_counts = Counter(cover_free_variables(instance, cover))
+    cover_counts = Counter(cover.pairs)
+    table = {}
+    for v in instance.used_variables():
+        in_used = sum(1 for s in used if v in s)
+        in_used_quadratic = sum(1 for s in used if v in s and s in P)
+        in_quadratic = sum(1 for p in P if v in p)
+        table[VarId.x(v)] = (
+            4 * in_used - in_used_quadratic + in_quadratic + free_counts[v]
+        )
+    for pair in used:
+        idx = tuple(sorted(pair))
+        table[VarId.sub(idx)] = 5 + cover_counts[pair]
+        table[VarId.sub_slack(idx, 1)] = 3
+        table[VarId.sub_slack(idx, 2)] = 2
+        table[VarId.sub_slack(idx, 3)] = 2
+    return table
+
+
+class TestDegreeTableReference:
+    @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
+    def test_matches_per_variable_scans(self):
+        rng = random.Random(17)
+        instances = [
+            example1(),
+            make_instance([(1, 2, 3), (-1, 2, 3), (3, 4, 5)]),
+            make_instance(random_3sat_instance(rng, 20, 91), num_vars=20),
+            make_instance(random_3sat_instance(rng, 50, 218), num_vars=50),
+        ]
+        for n in (4, 5, 6):
+            clauses = [tuple(v if rng.random() < 0.5 else -v
+                             for v in rng.sample(range(1, n + 1), 3))
+                       for _ in range(8)]
+            instances.append(make_instance(clauses, num_vars=n))
+        for inst in instances:
+            covers = [greedy_cover(inst, seed) for seed in range(5)]
+            covers += [make_cover(inst, random_cover_choice(rng, inst))
+                       for _ in range(5)]
+            for cover in covers:
+                got = gvs_degree_table(inst, cover)
+                want = reference_degree_table(inst, cover)
+                assert list(got.items()) == list(want.items())
+
+
+@st.composite
+def instance_and_cover(draw):
+    """A small 3-SAT instance, repeated variable triples allowed, and a
+    random cover of it."""
+    n = draw(st.integers(3, 6))
+    triple = st.lists(st.integers(1, n), min_size=3, max_size=3, unique=True)
+    signed = st.tuples(triple, st.lists(st.booleans(), min_size=3, max_size=3))
+    raw = draw(st.lists(signed, min_size=1, max_size=8))
+    clauses = [tuple(v if pos else -v for v, pos in zip(vs, signs))
+               for vs, signs in raw]
+    inst = make_instance(clauses, num_vars=n)
+    pairs = [draw(st.sampled_from(list(itertools.combinations(
+        sorted(inst.clause_vars(c)), 2)))) for c in range(inst.num_clauses)]
+    return inst, make_cover(inst, pairs)
+
+
+class TestEdgeCounts:
+    @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(instance_and_cover())
+    def test_reports_match_graphs(self, case):
+        inst, cover = case
+        assert linear_report(inst).num_interactions == len(
+            linear_derived_graph(inst).edges)
+        assert gvs_report(inst, cover).num_interactions == len(
+            gvs_derived_graph(inst, cover).edges)
+
+
 class TestReport:
     def test_example1_report(self):
         r = gvs_report(example1(), example1_cover())
@@ -256,6 +336,12 @@ class TestReport:
         assert r.num_ancillas == 8
         assert r.num_qubits == 13
         assert r.substitutions == 2
+
+    def test_degenerate_clause_rejected(self):
+        inst = make_instance([(1, 2, 3), (-1, 4)], allow_degenerate=True)
+        cover = make_cover(inst, [(1, 2), (1, 4)])
+        with pytest.raises(DegenerateClauseError):
+            gvs_report(inst, cover)
 
 
 class TestGeneralCalculator:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qdepth.cnf import example1, make_instance
+from qdepth.cnf import DegenerateClauseError, example1, make_instance
 from qdepth.linear import (
     InvalidPenaltyError,
     IsolatedVariableError,
@@ -191,3 +191,8 @@ class TestReport:
         r = linear_report(inst)
         assert r.num_problem_vars == 3
         assert r.num_qubits == 6
+
+    def test_degenerate_clause_rejected(self):
+        inst = make_instance([(1, 2, 3), (-1, 4)], allow_degenerate=True)
+        with pytest.raises(DegenerateClauseError):
+            linear_report(inst)

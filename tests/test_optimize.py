@@ -4,8 +4,13 @@ from fractions import Fraction
 import pytest
 
 from qdepth.cnf import example1, make_instance
-from qdepth.gvs import gvs_max_degree
-from qdepth.product import candidate_pairs, coverings, quadratic_pairs
+from qdepth.gvs import gvs_max_degree, make_cover
+from qdepth.product import (
+    candidate_pairs,
+    covering_graph,
+    coverings,
+    quadratic_pairs,
+)
 from qdepth.optimize import (
     build_ip,
     compare_instance,
@@ -231,7 +236,71 @@ class TestExport:
         assert m1 == m2
 
 
+def reference_greedy(instance, rng):
+    """The greedy cover by plain rescanning: every round recounts each
+    available pair's uncovered clauses and draws among the sorted ties."""
+    reach = {
+        tuple(sorted(p)): frozenset(cs)
+        for p, cs in covering_graph(instance).items()
+    }
+    uncovered = set(range(instance.num_clauses))
+    available = set(reach)
+    assignment = [None] * instance.num_clauses
+    while uncovered:
+        gains = {p: len(reach[p] & uncovered) for p in available}
+        top = max(gains.values())
+        pick = rng.choice(sorted(p for p, g in gains.items() if g == top))
+        for c in reach[pick] & uncovered:
+            assignment[c] = pick
+        uncovered -= reach[pick]
+        available.remove(pick)
+    return make_cover(instance, assignment)
+
+
+def greedy_equivalence_instances():
+    """example1, the repeated-triple probe, seeded draws at n = 20 and 50,
+    and small instances full of repeated triples."""
+    rng = random.Random(41)
+    out = [
+        example1(),
+        make_instance([(1, 2, 3), (-1, 2, 3), (3, 4, 5)]),
+        make_instance(random_3sat_instance(rng, 20, 91), num_vars=20),
+        make_instance(random_3sat_instance(rng, 50, 218), num_vars=50),
+        make_instance([(1, 2, 3), (1, -2, 3), (-1, 2, -3), (2, 3, 4),
+                       (-2, 3, 4), (1, 3, 4)]),
+        make_instance([(1, 2, 3), (-1, -2, 3), (1, 2, 4), (1, 2, -4),
+                       (3, 4, 5), (-3, 4, 5), (-3, -4, -5)]),
+    ]
+    for n in (4, 5, 6):
+        for _ in range(3):
+            clauses = [tuple(v if rng.random() < 0.5 else -v
+                             for v in rng.sample(range(1, n + 1), 3))
+                       for _ in range(rng.randint(3, 10))]
+            out.append(make_instance(clauses, num_vars=n))
+    return out
+
+
 class TestGreedy:
+    @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
+    def test_matches_rescanning_reference(self):
+        for inst in greedy_equivalence_instances():
+            for seed in range(40):
+                rng_ref, rng = random.Random(seed), random.Random(seed)
+                expected = reference_greedy(inst, rng_ref)
+                assert greedy_cover(inst, rng) == expected, (inst, seed)
+                assert rng.getstate() == rng_ref.getstate()
+                assert greedy_cover(inst, seed) == expected
+
+    def test_batch_matches_single_covers(self):
+        inst = make_instance(random_3sat_instance(random.Random(3), 20, 80),
+                             num_vars=20)
+        summary = greedy_batch(inst, range(10))
+        covers = [greedy_cover(inst, seed) for seed in range(10)]
+        assert summary.depths == tuple(
+            gvs_max_degree(inst, c) + 2 for c in covers)
+        assert summary.substitutions == tuple(
+            c.num_substitutions for c in covers)
+
     def test_valid_cover_every_seed(self):
         inst = example1()
         for seed in range(20):
