@@ -104,6 +104,8 @@ def make_instance(
 
 
 def _warn_duplicates(clauses) -> None:
+    """Warn once per repeated clause.  Only public entry points call this,
+    directly, so stacklevel=3 names the code that called them."""
     seen: dict[frozenset[int], int] = {}
     for i, clause in enumerate(clauses):
         key = frozenset(clause)
@@ -118,6 +120,12 @@ def _warn_duplicates(clauses) -> None:
 
 
 def parse_dimacs(text: str, *, allow_degenerate: bool = False) -> Instance:
+    instance = _read_dimacs(text, allow_degenerate)
+    _warn_duplicates(instance.clauses)
+    return instance
+
+
+def _read_dimacs(text: str, allow_degenerate: bool) -> Instance:
     num_vars = None
     declared_clauses = None
     clauses: list[tuple[int, ...]] = []
@@ -174,13 +182,14 @@ def parse_dimacs(text: str, *, allow_degenerate: bool = False) -> Instance:
         raise DimacsError(
             f"problem line declares {declared_clauses} clauses, found {len(clauses)}"
         )
-    _warn_duplicates(clauses)
     return Instance(num_vars, tuple(clauses))
 
 
 def load_dimacs(path, *, allow_degenerate: bool = False) -> Instance:
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        return parse_dimacs(fh.read(), allow_degenerate=allow_degenerate)
+        instance = _read_dimacs(fh.read(), allow_degenerate)
+    _warn_duplicates(instance.clauses)
+    return instance
 
 
 def to_dimacs(instance: Instance, comments: Iterable[str] = ()) -> str:

@@ -20,10 +20,13 @@ builds the pair/clause index once and reuses it for every seed.
 `enumerate_exact` brute-forces all 3^|C| covers and exists to cross-check
 the integer program on small inputs.
 
-numpy and scipy are imported inside `solve_ip_exact` and nowhere else, so
-building or exporting the program and the heuristics never load them; on
-the command line only `gvs-ip` (in `analyze` and `histogram`) and `compare`
-do.
+`solve_ip_exact` loads scipy's compiled HiGHS extension,
+scipy/optimize/_highspy/_core, straight from its file (`_highs`), never the
+`scipy.optimize` package, whose import costs several times the solve on a
+uf20-sized instance.  numpy comes with it, because the extension converts
+vectors through numpy.  Building or exporting the program and the
+heuristics load neither; on the command line only `gvs-ip` (in `analyze`
+and `histogram`) and `compare` do.
 
 The degree model inside the program counts one interaction per clause
 occurrence, matching the closed-form degree table rather than the deduped
@@ -33,15 +36,19 @@ variables.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
 import random
 import statistics
+import sys
 import time
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from importlib.machinery import EXTENSION_SUFFIXES
+from itertools import accumulate, chain, combinations, product
 from typing import Iterable, Sequence
 
 from .cnf import Instance
@@ -93,12 +100,6 @@ class IpModel:
     @property
     def num_variables(self) -> int:
         return len(self.names)
-
-    def row(self, name: str):
-        for row in self.rows:
-            if row[0] == name:
-                return row
-        raise KeyError(name)
 
 
 def build_ip(instance: Instance) -> IpModel:
@@ -191,7 +192,7 @@ class IpSolution:
 
 
 def _degree_lower_bound(dual_bound: float, num_pairs: int, m: int) -> int | None:
-    if dual_bound is None or not math.isfinite(dual_bound):
+    if not math.isfinite(dual_bound):
         return None
     # obj >= dual bound minus the largest possible tie-break mass
     slack = Fraction(num_pairs, 10 * m)
@@ -221,72 +222,96 @@ def score_cover(instance: Instance, cover: Cover) -> Fraction:
     )
 
 
+SCIPY_FLOOR = "1.15"  # first release with scipy/optimize/_highspy/_core
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _highs():
+    """scipy's compiled HiGHS binding, loaded without `scipy.optimize`.
+
+    It is registered under its real name because pybind11 refuses to
+    register its types twice, so a later `import scipy.optimize` reuses it.
+    """
+    core = sys.modules.get(_HIGHS_CORE)
+    if core is None:
+        scipy = importlib.util.find_spec("scipy")
+        base = os.path.join(scipy.submodule_search_locations[0], "optimize",
+                            "_highspy", "_core") if scipy else ""
+        path = next((base + suffix for suffix in EXTENSION_SUFFIXES
+                     if base and os.path.exists(base + suffix)), None)
+        if path is None:
+            raise ImportError(f"the exact solver needs scipy>={SCIPY_FLOOR}")
+        spec = importlib.util.spec_from_file_location(_HIGHS_CORE, path)
+        core = importlib.util.module_from_spec(spec)
+        sys.modules[_HIGHS_CORE] = core
+        spec.loader.exec_module(core)
+    return core
+
+
+def _highs_lp(h, model: IpModel):
+    """The program as a HighsLp, laid out as `milp` passed it: column-wise,
+    every "<=" row before every "=" row, all columns integer."""
+    n = model.num_variables
+    rows = sorted(model.rows, key=lambda row: row[2] == "=")
+    col_rows: list[list[int]] = [[] for _ in range(n)]
+    col_values: list[list[float]] = [[] for _ in range(n)]
+    for i, (_, coeffs, _, _) in enumerate(rows):
+        for j, v in coeffs:
+            col_rows[j].append(i)
+            col_values[j].append(float(v))
+
+    lp = h.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(rows)
+    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = list(accumulate(map(len, col_rows), initial=0))
+    lp.a_matrix_.index_ = list(chain.from_iterable(col_rows))
+    lp.a_matrix_.value_ = list(chain.from_iterable(col_values))
+    lp.col_cost_ = [float(v) for v in model.objective]
+    lp.col_lower_ = [0.0] * n
+    lp.col_upper_ = [h.kHighsInf] + [1.0] * (n - 1)
+    lp.row_lower_ = [-h.kHighsInf if row[2] == "<=" else float(row[3])
+                     for row in rows]
+    lp.row_upper_ = [float(row[3]) for row in rows]
+    lp.integrality_ = [h.HighsVarType.kInteger] * n
+    return lp
+
+
 def solve_ip_exact(
     instance: Instance, budget_secs: float = DEFAULT_BUDGET_SECS
 ) -> IpSolution:
     """Minimize the substituted max degree, exactly, within a time budget."""
-    import numpy as np
-    from scipy import sparse
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
+    h = _highs()
     model = build_ip(instance)
-    n = model.num_variables
+    options = h.HighsOptions()
+    options.log_to_console = False
+    options.time_limit = float(budget_secs)
+    options.mip_rel_gap = 0.0
+    highs = h._Highs()
+    if (highs.passOptions(options) == h.HighsStatus.kError
+            or highs.passModel(_highs_lp(h, model)) == h.HighsStatus.kError):
+        raise ModelError("HiGHS rejected the program or its options")
+    highs.run()
 
-    c = np.array([float(v) for v in model.objective])
-    integrality = np.ones(n)
-    lb = np.zeros(n)
-    ub = np.ones(n)
-    ub[0] = np.inf
-
-    senses = {"<=": [], "=": []}
-    for name, coeffs, sense, rhs in model.rows:
-        senses[sense].append((coeffs, rhs))
-    constraints = []
-    for sense, rows in senses.items():
-        if not rows:
-            continue
-        data, ri, ci = [], [], []
-        for i, (coeffs, _) in enumerate(rows):
-            for j, v in coeffs:
-                ri.append(i)
-                ci.append(j)
-                data.append(float(v))
-        mat = sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
-        rhs = np.array([float(r) for _, r in rows])
-        if sense == "<=":
-            constraints.append(LinearConstraint(mat, -np.inf, rhs))
-        else:
-            constraints.append(LinearConstraint(mat, rhs, rhs))
-
-    res = milp(
-        c,
-        constraints=constraints,
-        integrality=integrality,
-        bounds=Bounds(lb, ub),
-        options={"time_limit": float(budget_secs), "mip_rel_gap": 0.0},
-    )
-
-    if res.status == 0:
+    model_status = highs.getModelStatus()
+    info = highs.getInfo()
+    limited = model_status in (h.HighsModelStatus.kTimeLimit,
+                               h.HighsModelStatus.kIterationLimit,
+                               h.HighsModelStatus.kSolutionLimit)
+    if model_status == h.HighsModelStatus.kOptimal:
         status = "optimal"
-    elif res.status == 1 and res.x is not None:
+    elif limited and math.isfinite(info.objective_function_value):
         status = "feasible_bound"
-    elif res.status == 1:
-        status = "timed_out"
+    elif limited:
+        return IpSolution("timed_out", None, None, None, None, None)
     else:
-        raise ModelError(f"solver failed on a feasible model: {res.message}")
+        raise ModelError("solver failed on a feasible model: "
+                         + highs.modelStatusToString(model_status))
 
-    lower = _degree_lower_bound(
-        getattr(res, "mip_dual_bound", None),
-        len(model.pairs),
-        instance.num_clauses,
-    )
-    if res.x is None:
-        return IpSolution(status, None, None, None, None, lower)
-
-    cover = _extract_cover(model, res.x)
+    cover = _extract_cover(model, highs.getSolution().col_value)
     degree = gvs_max_degree(instance, cover)
-    if status == "optimal":
-        lower = degree
+    lower = degree if status == "optimal" else _degree_lower_bound(
+        info.mip_dual_bound, len(model.pairs), instance.num_clauses)
     return IpSolution(
         status=status,
         cover=cover,

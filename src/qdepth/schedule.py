@@ -84,15 +84,16 @@ def color_edges(graph: InteractionGraph) -> dict[Edge, int]:
         return col not in used[x]
 
     def maximal_fan(u: VarId, v: VarId) -> list[VarId]:
+        # used[u] holds no v (the edge u-v is uncolored) and does not change
+        # while the fan grows, so sort it once and drop each fan member
+        around = sorted(used[u].items())
         fan = [v]
-        members = {v}
         while True:
-            last = fan[-1]
-            for col in sorted(used[u]):
-                w = used[u][col]
-                if w not in members and is_free(col, last):
+            taken = used[fan[-1]]
+            for k, (col, w) in enumerate(around):
+                if col not in taken:
                     fan.append(w)
-                    members.add(w)
+                    del around[k]
                     break
             else:
                 return fan

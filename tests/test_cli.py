@@ -47,7 +47,8 @@ HEAVY_PROBE = """
 import sys
 from qdepth.cli import main
 rc = main(sys.argv[1:])
-heavy = ("numpy", "scipy", "urllib.request", "tarfile")
+heavy = ("numpy", "scipy", "scipy.optimize", "scipy.sparse",
+         "scipy.optimize._highspy._core", "urllib.request", "tarfile")
 print(rc, *(m for m in heavy if m in sys.modules), file=sys.stderr)
 """
 
@@ -282,13 +283,31 @@ class TestImportBoundary:
         assert proc.stdout
         assert proc.stderr.decode().split() == ["0"]
 
-    def test_exact_solve_loads_scipy(self):
-        proc = run_python("-c", HEAVY_PROBE, "analyze", "example1",
-                          "--method", "gvs-ip")
-        rc, *heavy = proc.stderr.decode().split()
-        assert rc == "0"
-        assert {"numpy", "scipy"} <= set(heavy)
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "example1", "--method", "gvs-ip"),
+        ("compare", "example1", "--seeds", "2"),
+    ], ids=["gvs-ip", "compare"])
+    def test_exact_solve_loads_only_the_highs_extension(self, argv):
+        proc = run_python("-c", HEAVY_PROBE, *argv)
+        assert proc.stderr.decode().split() == [
+            "0", "numpy", "scipy.optimize._highspy._core"]
         assert proc.stdout
+
+    @pytest.mark.parametrize("first", ["solve", "scipy.optimize"])
+    def test_scipy_optimize_imports_around_a_solve(self, first):
+        # the extension is registered under its own name, so pybind11 sees
+        # its types once whichever of the two loads it first
+        solve = ("from qdepth.cnf import example1\n"
+                 "from qdepth.optimize import solve_ip_exact\n"
+                 "print(solve_ip_exact(example1()).max_degree)\n")
+        milp = ("from scipy.optimize import milp\n"
+                "print(milp([1.0, 1.0], integrality=[1, 1],\n"
+                "           bounds=(0, 1)).status)\n")
+        script = solve + milp if first == "solve" else milp + solve
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr.decode()
+        expected = ["8", "0"] if first == "solve" else ["0", "8"]
+        assert proc.stdout.decode().split() == expected
 
 
 class TestDeterminism:

@@ -113,6 +113,19 @@ def test_duplicate_clause_warns_but_keeps_both():
     assert inst.num_clauses == 2
 
 
+def test_duplicate_warning_names_the_caller(tmp_path):
+    text = "p cnf 3 2\n1 2 3 0\n3 2 1 0\n"
+    path = tmp_path / "dup.cnf"
+    path.write_text(text)
+    entries = [lambda: make_instance([(1, 2, 3), (3, 2, 1)]),
+               lambda: parse_dimacs(text),
+               lambda: load_dimacs(path)]
+    for entry in entries:
+        with pytest.warns(DuplicateClauseWarning) as record:
+            entry()
+        assert [w.filename for w in record] == [__file__]
+
+
 def test_no_warning_for_same_vars_different_polarity():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

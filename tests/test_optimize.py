@@ -1,4 +1,6 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,9 @@ from qdepth.product import (
     quadratic_pairs,
 )
 from qdepth.optimize import (
+    IpSolution,
+    ModelError,
+    _extract_cover,
     build_ip,
     compare_instance,
     enumerate_exact,
@@ -19,6 +24,7 @@ from qdepth.optimize import (
     greedy_batch,
     greedy_cover,
     _degree_lower_bound,
+    _highs,
     score_cover,
     solve_ip_exact,
 )
@@ -27,9 +33,8 @@ from helpers import random_3sat_instance
 
 
 def row_by_name(model, name):
-    name_of = model.names
-    _, coeffs, sense, rhs = model.row(name)
-    return {name_of[j]: v for j, v in coeffs}, sense, rhs
+    _, coeffs, sense, rhs = next(row for row in model.rows if row[0] == name)
+    return {model.names[j]: v for j, v in coeffs}, sense, rhs
 
 
 def reference_ip(instance):
@@ -212,6 +217,87 @@ class TestExactSolve:
         assert _degree_lower_bound(float("-inf"), 9, 4) is None
         # exact multiples must not get bumped up by float fuzz
         assert _degree_lower_bound(8.0, 0, 4) == 8
+
+
+def reference_solve(instance, budget_secs=300.0):
+    """The exact solve through `scipy.optimize.milp`: sparse rows grouped by
+    sense, scipy's status codes and result fields."""
+    import numpy as np
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    model = build_ip(instance)
+    n = model.num_variables
+    ub = np.ones(n)
+    ub[0] = np.inf
+    constraints = []
+    for sense in ("<=", "="):
+        rows = [(coeffs, rhs) for _, coeffs, s, rhs in model.rows if s == sense]
+        if not rows:
+            continue
+        entries = [(i, j, float(v)) for i, (coeffs, _) in enumerate(rows)
+                   for j, v in coeffs]
+        ri, ci, data = zip(*entries)
+        mat = sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
+        rhs = np.array([float(r) for _, r in rows])
+        lower = -np.inf if sense == "<=" else rhs
+        constraints.append(LinearConstraint(mat, lower, rhs))
+    res = milp(
+        np.array([float(v) for v in model.objective]),
+        constraints=constraints,
+        integrality=np.ones(n),
+        bounds=Bounds(np.zeros(n), ub),
+        options={"time_limit": float(budget_secs), "mip_rel_gap": 0.0},
+    )
+    if res.status == 0:
+        status = "optimal"
+    elif res.status == 1:
+        status = "timed_out" if res.x is None else "feasible_bound"
+    else:
+        raise ModelError(res.message)
+    if res.x is None:  # milp reports no dual bound without an incumbent
+        return IpSolution(status, None, None, None, None, None)
+    cover = _extract_cover(model, res.x)
+    degree = gvs_max_degree(instance, cover)
+    lower = degree if status == "optimal" else _degree_lower_bound(
+        res.mip_dual_bound, len(model.pairs), instance.num_clauses)
+    return IpSolution(status, cover, degree, cover.num_substitutions,
+                      score_cover(instance, cover), lower)
+
+
+def solver_swap_instances():
+    """example1, the repeated-triple probe, and seeded draws at ratio 4.26
+    whose clauses may share a variable triple."""
+    rng = random.Random(61)
+    out = [example1(), make_instance([(1, 2, 3), (-1, 2, 3), (3, 4, 5)])]
+    for n, draws in ((5, 5), (10, 4), (20, 3), (50, 2)):
+        for _ in range(draws):
+            clauses = [tuple(v if rng.random() < 0.5 else -v
+                             for v in rng.sample(range(1, n + 1), 3))
+                       for _ in range(round(4.26 * n))]
+            out.append(make_instance(clauses, num_vars=n))
+    return out
+
+
+class TestSolverSwap:
+    @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
+    def test_matches_milp_reference(self):
+        for inst in solver_swap_instances():
+            assert solve_ip_exact(inst) == reference_solve(inst), inst.clauses
+
+    def test_missing_extension_names_the_scipy_floor(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core",
+                            raising=False)
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match=r"scipy>=1\.15"):
+            _highs()
+
+    def test_zero_budget_times_out_on_both(self):
+        inst = make_instance(random_3sat_instance(random.Random(5), 50, 218),
+                             num_vars=50)
+        expected = IpSolution("timed_out", None, None, None, None, None)
+        assert reference_solve(inst, 0.0) == expected
+        assert solve_ip_exact(inst, 0.0) == expected
 
 
 class TestExport:

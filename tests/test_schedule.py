@@ -4,8 +4,9 @@ import random
 import pytest
 
 from qdepth.cnf import example1, make_instance
-from qdepth.gvs import dualize_gvs, make_cover
-from qdepth.linear import dualize_linear
+from qdepth.gvs import dualize_gvs, gvs_derived_graph, make_cover
+from qdepth.linear import dualize_linear, linear_derived_graph
+from qdepth.optimize import greedy_cover
 from qdepth.product import native3_hypergraph, product_objective
 from qdepth.pubo import (
     InteractionGraph,
@@ -23,7 +24,11 @@ from qdepth.schedule import (
     native3_report,
 )
 
-from helpers import assert_proper_edge_coloring, random_graph
+from helpers import (
+    assert_proper_edge_coloring,
+    random_3sat_instance,
+    random_graph,
+)
 
 
 def graph_of(*edges):
@@ -48,6 +53,73 @@ def min_conflict_colors(edges):
             if all(assign[i] != assign[j] for i, j in conflicts):
                 return k
     raise AssertionError
+
+
+def reference_color_edges(graph):
+    """Misra-Gries whose every fan step re-sorts the colors around u and
+    tests fan membership in a set."""
+    used = {v: {} for v in graph.vertices}
+    colors = {}
+    num_colors = graph.max_degree() + 1
+
+    def set_color(a, b, col):
+        old = colors.get(frozenset((a, b)))
+        if old is not None:
+            del used[a][old]
+            del used[b][old]
+        colors[frozenset((a, b))] = col
+        used[a][col] = b
+        used[b][col] = a
+
+    def uncolor(a, b):
+        old = colors.pop(frozenset((a, b)))
+        del used[a][old]
+        del used[b][old]
+
+    def free_color(x):
+        return next(c for c in range(num_colors) if c not in used[x])
+
+    def maximal_fan(u, v):
+        fan, members = [v], {v}
+        while True:
+            for col in sorted(used[u]):
+                w = used[u][col]
+                if w not in members and col not in used[fan[-1]]:
+                    fan.append(w)
+                    members.add(w)
+                    break
+            else:
+                return fan
+
+    for e in sorted(graph.edges, key=lambda e: tuple(sorted(e))):
+        u, v = sorted(e)
+        fan = maximal_fan(u, v)
+        c, d = free_color(u), free_color(fan[-1])
+        path, x, col = [], u, d
+        while col in used[x]:
+            y = used[x][col]
+            path.append((x, y, col))
+            x, col = y, (c if col == d else d)
+        for a, b, _ in path:
+            uncolor(a, b)
+        for a, b, col in path:
+            set_color(a, b, c if col == d else d)
+        w_index, prefix_ok = None, True
+        for i, w in enumerate(fan):
+            if i > 0:
+                col = colors.get(frozenset((u, w)))
+                prefix_ok = prefix_ok and col is not None and \
+                    col not in used[fan[i - 1]]
+            if prefix_ok and d not in used[w]:
+                w_index = i
+                break
+        shift = [colors[frozenset((u, fan[j]))] for j in range(1, w_index + 1)]
+        for j in range(1, w_index + 1):
+            uncolor(u, fan[j])
+        for j in range(w_index):
+            set_color(u, fan[j], shift[j])
+        set_color(u, fan[w_index], d)
+    return colors
 
 
 class TestEdgeColoring:
@@ -100,6 +172,18 @@ class TestEdgeColoring:
         rng = random.Random(73)
         g = random_graph(rng, max_vertices=25)
         assert color_edges(g) == color_edges(g)
+
+    def test_matches_reference_construction(self):
+        rng = random.Random(79)
+        graphs = [linear_derived_graph(example1()),
+                  gvs_derived_graph(example1(), greedy_cover(example1(), 0))]
+        for n, m in ((8, 20), (12, 40), (20, 85)):
+            inst = make_instance(random_3sat_instance(rng, n, m), num_vars=n)
+            graphs.append(linear_derived_graph(inst))
+            graphs.append(gvs_derived_graph(inst, greedy_cover(inst, n)))
+        graphs += [random_graph(rng, max_vertices=30) for _ in range(10)]
+        for g in graphs:
+            assert color_edges(g) == reference_color_edges(g)
 
     def test_example1_linear_graph_colors(self):
         g = interaction_graph(dualize_linear(example1()))
