@@ -24,6 +24,7 @@ import os
 import sys
 import tempfile
 import time
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -31,6 +32,7 @@ from pathlib import Path
 from .cnf import (
     DegenerateClauseError,
     DimacsError,
+    DuplicateClauseWarning,
     Instance,
     example1,
     load_dimacs,
@@ -149,10 +151,17 @@ def effective_budget(flag_value: float) -> float:
 
 
 def load_instance(source: str) -> tuple[str, Instance]:
+    """Read an instance file, reporting each repeated clause on stderr as
+    one plain line rather than in Python's warning format."""
     path = Path(source)
     if source == "example1" and not path.exists():
         return "example1", example1()
-    return path.stem, load_dimacs(path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DuplicateClauseWarning)
+        instance = load_dimacs(path)
+    for warning in caught:
+        print(f"qdepth: warning: {warning.message}", file=sys.stderr)
+    return path.stem, instance
 
 
 def write_out(text: str, output: Path | None) -> None:

@@ -23,10 +23,12 @@ the integer program on small inputs.
 `solve_ip_exact` loads scipy's compiled HiGHS extension,
 scipy/optimize/_highspy/_core, straight from its file (`_highs`), never the
 `scipy.optimize` package, whose import costs several times the solve on a
-uf20-sized instance.  numpy comes with it, because the extension converts
-vectors through numpy.  Building or exporting the program and the
-heuristics load neither; on the command line only `gvs-ip` (in `analyze`
-and `histogram`) and `compare` do.
+uf20-sized instance.  It hands HiGHS the program as a temporary free-format
+MPS file (`_mps_text`): the extension's in-memory model takes its vectors as
+numpy arrays, and reading a file is what keeps numpy, the largest import
+left, from loading at all.  Building or exporting the program and the
+heuristics load no part of scipy; on the command line only `gvs-ip` (in
+`analyze` and `histogram`) and `compare` do.
 
 The degree model inside the program counts one interaction per clause
 occurrence, matching the closed-form degree table rather than the deduped
@@ -42,13 +44,14 @@ import os
 import random
 import statistics
 import sys
+import tempfile
 import time
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES
-from itertools import accumulate, chain, combinations, product
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .cnf import Instance
@@ -248,33 +251,31 @@ def _highs():
     return core
 
 
-def _highs_lp(h, model: IpModel):
-    """The program as a HighsLp, laid out as `milp` passed it: column-wise,
-    every "<=" row before every "=" row, all columns integer."""
-    n = model.num_variables
+def _mps_text(model: IpModel) -> str:
+    """The program as a free-format MPS file, laid out as `milp` passed it:
+    columns in variable order, every "<=" row before every "=" row, all
+    columns integer, obj in [0, inf) and the rest in [0, 1].  Values are
+    written as `repr` of their float, which reads back bit for bit."""
+    names = model.names
     rows = sorted(model.rows, key=lambda row: row[2] == "=")
-    col_rows: list[list[int]] = [[] for _ in range(n)]
-    col_values: list[list[float]] = [[] for _ in range(n)]
-    for i, (_, coeffs, _, _) in enumerate(rows):
+    # a column's entries must be contiguous: its cost, then its rows in order
+    columns: list[list[tuple[str, Fraction]]] = [
+        [("cost", v)] if v else [] for v in model.objective]
+    for row, coeffs, _, _ in rows:
         for j, v in coeffs:
-            col_rows[j].append(i)
-            col_values[j].append(float(v))
-
-    lp = h.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(rows)
-    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = list(accumulate(map(len, col_rows), initial=0))
-    lp.a_matrix_.index_ = list(chain.from_iterable(col_rows))
-    lp.a_matrix_.value_ = list(chain.from_iterable(col_values))
-    lp.col_cost_ = [float(v) for v in model.objective]
-    lp.col_lower_ = [0.0] * n
-    lp.col_upper_ = [h.kHighsInf] + [1.0] * (n - 1)
-    lp.row_lower_ = [-h.kHighsInf if row[2] == "<=" else float(row[3])
-                     for row in rows]
-    lp.row_upper_ = [float(row[3]) for row in rows]
-    lp.integrality_ = [h.HighsVarType.kInteger] * n
-    return lp
+            columns[j].append((row, v))
+    lines = ["NAME qdepth", "ROWS", " N cost"]
+    lines += [f" {'E' if sense == '=' else 'L'} {row}"
+              for row, _, sense, _ in rows]
+    lines += ["COLUMNS", " MARKER 'MARKER' 'INTORG'"]
+    lines += [f" {names[j]} {row} {float(v)!r}"
+              for j, column in enumerate(columns) for row, v in column]
+    lines += [" MARKER 'MARKER' 'INTEND'", "RHS"]
+    lines += [f" rhs {row} {float(rhs)!r}" for row, _, _, rhs in rows]
+    lines += ["BOUNDS", f" PL bnd {names[0]}"]
+    lines += [f" UP bnd {name} 1.0" for name in names[1:]]
+    lines.append("ENDATA")
+    return "\n".join(lines) + "\n"
 
 
 def solve_ip_exact(
@@ -283,13 +284,21 @@ def solve_ip_exact(
     """Minimize the substituted max degree, exactly, within a time budget."""
     h = _highs()
     model = build_ip(instance)
+    highs = h._Highs()
     options = h.HighsOptions()
     options.log_to_console = False
+    fd, path = tempfile.mkstemp(suffix=".mps")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(_mps_text(model))
+        # the MPS reader obeys time_limit, so the budget comes after it
+        rejected = (highs.passOptions(options) == h.HighsStatus.kError
+                    or highs.readModel(path) == h.HighsStatus.kError)
+    finally:
+        os.unlink(path)
     options.time_limit = float(budget_secs)
     options.mip_rel_gap = 0.0
-    highs = h._Highs()
-    if (highs.passOptions(options) == h.HighsStatus.kError
-            or highs.passModel(_highs_lp(h, model)) == h.HighsStatus.kError):
+    if rejected or highs.passOptions(options) == h.HighsStatus.kError:
         raise ModelError("HiGHS rejected the program or its options")
     highs.run()
 

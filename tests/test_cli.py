@@ -258,6 +258,19 @@ class TestExitCodes:
         assert proc.returncode == 2
 
 
+class TestRepeatedClauses:
+    def test_one_plain_warning_line_per_repeat(self, tmp_path, capsys):
+        path = tmp_path / "dup.cnf"
+        path.write_text("p cnf 4 4\n1 2 3 0\n3 2 1 0\n-1 2 4 0\n1 2 3 0\n")
+        assert main(["inspect", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [
+            "qdepth: warning: clause #1 repeats clause #0: (1, 2, 3)",
+            "qdepth: warning: clause #3 repeats clause #0: (1, 2, 3)",
+        ]
+        assert "num_clauses          4\n" in out
+
+
 class TestFetch:
     def test_unknown_set_is_64(self, capsys):
         assert main(["fetch", "uf999", "--dest", "/tmp/nowhere"]) == 64
@@ -288,9 +301,10 @@ class TestImportBoundary:
         ("compare", "example1", "--seeds", "2"),
     ], ids=["gvs-ip", "compare"])
     def test_exact_solve_loads_only_the_highs_extension(self, argv):
+        # HiGHS reads the program from an MPS file, so numpy never loads
         proc = run_python("-c", HEAVY_PROBE, *argv)
         assert proc.stderr.decode().split() == [
-            "0", "numpy", "scipy.optimize._highspy._core"]
+            "0", "scipy.optimize._highspy._core"]
         assert proc.stdout
 
     @pytest.mark.parametrize("first", ["solve", "scipy.optimize"])

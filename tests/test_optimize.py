@@ -1,7 +1,11 @@
 import importlib.util
+import os
 import random
 import sys
+import tempfile
+import types
 from fractions import Fraction
+from itertools import accumulate, chain
 
 import pytest
 
@@ -13,6 +17,7 @@ from qdepth.product import (
     coverings,
     quadratic_pairs,
 )
+from qdepth import optimize
 from qdepth.optimize import (
     IpSolution,
     ModelError,
@@ -265,6 +270,15 @@ def reference_solve(instance, budget_secs=300.0):
                       score_cover(instance, cover), lower)
 
 
+def draw_3sat(n, m, rng):
+    """m clauses over three distinct variables of n with fair-coin signs;
+    clauses may share a variable triple."""
+    clauses = [tuple(v if rng.random() < 0.5 else -v
+                     for v in rng.sample(range(1, n + 1), 3))
+               for _ in range(m)]
+    return make_instance(clauses, num_vars=n)
+
+
 def solver_swap_instances():
     """example1, the repeated-triple probe, and seeded draws at ratio 4.26
     whose clauses may share a variable triple."""
@@ -272,10 +286,7 @@ def solver_swap_instances():
     out = [example1(), make_instance([(1, 2, 3), (-1, 2, 3), (3, 4, 5)])]
     for n, draws in ((5, 5), (10, 4), (20, 3), (50, 2)):
         for _ in range(draws):
-            clauses = [tuple(v if rng.random() < 0.5 else -v
-                             for v in rng.sample(range(1, n + 1), 3))
-                       for _ in range(round(4.26 * n))]
-            out.append(make_instance(clauses, num_vars=n))
+            out.append(draw_3sat(n, round(4.26 * n), rng))
     return out
 
 
@@ -298,6 +309,158 @@ class TestSolverSwap:
         expected = IpSolution("timed_out", None, None, None, None, None)
         assert reference_solve(inst, 0.0) == expected
         assert solve_ip_exact(inst, 0.0) == expected
+
+
+def reference_lp(h, model):
+    """The program as a HighsLp built in memory, laid out as `milp` passed
+    it: column-wise, every "<=" row before every "=" row, all columns
+    integer."""
+    n = model.num_variables
+    rows = sorted(model.rows, key=lambda row: row[2] == "=")
+    col_rows = [[] for _ in range(n)]
+    col_values = [[] for _ in range(n)]
+    for i, (_, coeffs, _, _) in enumerate(rows):
+        for j, v in coeffs:
+            col_rows[j].append(i)
+            col_values[j].append(float(v))
+
+    lp = h.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(rows)
+    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = list(accumulate(map(len, col_rows), initial=0))
+    lp.a_matrix_.index_ = list(chain.from_iterable(col_rows))
+    lp.a_matrix_.value_ = list(chain.from_iterable(col_values))
+    lp.col_cost_ = [float(v) for v in model.objective]
+    lp.col_lower_ = [0.0] * n
+    lp.col_upper_ = [h.kHighsInf] + [1.0] * (n - 1)
+    lp.row_lower_ = [-h.kHighsInf if row[2] == "<=" else float(row[3])
+                     for row in rows]
+    lp.row_upper_ = [float(row[3]) for row in rows]
+    lp.integrality_ = [h.HighsVarType.kInteger] * n
+    return lp
+
+
+def lp_fields(lp):
+    a = lp.a_matrix_
+    return {
+        "shape": (lp.num_col_, lp.num_row_, a.num_col_, a.num_row_),
+        "format": a.format_,
+        "start": list(a.start_),
+        "index": list(a.index_),
+        "value": list(a.value_),
+        "cost": list(lp.col_cost_),
+        "sense": (lp.sense_, lp.offset_),
+        "col_lower": list(lp.col_lower_),
+        "col_upper": list(lp.col_upper_),
+        "row_lower": list(lp.row_lower_),
+        "row_upper": list(lp.row_upper_),
+        "integrality": list(lp.integrality_),
+    }
+
+
+def use_highs_double(monkeypatch, **overrides):
+    """Make `solve_ip_exact` see the HiGHS extension with some of its
+    names replaced."""
+    double = types.SimpleNamespace(**vars(_highs()))
+    for name, value in overrides.items():
+        setattr(double, name, value)
+    monkeypatch.setattr(optimize, "_highs", lambda: double)
+
+
+def uf50_draw():
+    return draw_3sat(50, 218, random.Random(0))
+
+
+class TestSolverInput:
+    @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
+    def test_read_program_matches_reference_lp(self, monkeypatch):
+        h = _highs()
+        solved = []
+
+        class Recording(h._Highs):
+            def run(self):
+                solved.append(self.getLp())
+                return super().run()
+
+        use_highs_double(monkeypatch, _Highs=Recording)
+        rng = random.Random(67)
+        instances = [example1(), make_instance([(1, 2, 3), (-1, 2, 3),
+                                                (3, 4, 5)])]
+        for n in (5, 5, 20, 20, 50):
+            instances.append(draw_3sat(n, round(4.26 * n), rng))
+        for inst in instances:
+            solve_ip_exact(inst, budget_secs=0.0)
+            expected = lp_fields(reference_lp(h, build_ip(inst)))
+            got = lp_fields(solved.pop())
+            for field, value in expected.items():
+                assert got[field] == value, (field, inst.clauses)
+
+    @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
+    def test_millisecond_budget_reads_the_whole_program(self):
+        # the MPS reader obeys time_limit; a budget passed before the read
+        # makes HiGHS reject the program instead of timing out the solve
+        sol = solve_ip_exact(uf50_draw(), budget_secs=0.001)
+        assert sol.status in ("timed_out", "feasible_bound")
+
+    @pytest.mark.parametrize("accepted", [True, False],
+                             ids=["solved", "rejected"])
+    def test_no_mps_file_left_behind(self, tmp_path, monkeypatch, accepted):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        h = _highs()
+        read = []
+
+        class Reading(h._Highs):
+            def readModel(self, path):
+                read.append((os.path.dirname(path), os.path.exists(path)))
+                if accepted:
+                    return super().readModel(path)
+                return h.HighsStatus.kError
+
+        use_highs_double(monkeypatch, _Highs=Reading)
+        if accepted:
+            assert solve_ip_exact(example1()).status == "optimal"
+        else:
+            with pytest.raises(ModelError):
+                solve_ip_exact(example1())
+        assert read == [(str(tmp_path), True)]
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestLimitedSolves:
+    """Node and solution limits stop HiGHS at the same point on every
+    machine, unlike a time budget, so they pin the limited statuses."""
+
+    @staticmethod
+    def preset(monkeypatch, **limits):
+        h = _highs()
+
+        def options():
+            preset = h.HighsOptions()
+            for name, value in limits.items():
+                setattr(preset, name, value)
+            return preset
+
+        use_highs_double(monkeypatch, HighsOptions=options)
+
+    @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
+    def test_limit_with_incumbent_is_feasible_bound(self, monkeypatch):
+        # stops at the first incumbent, 43.06, with dual bound 41.06
+        self.preset(monkeypatch, mip_max_improving_sols=1)
+        inst = uf50_draw()
+        sol = solve_ip_exact(inst)
+        assert sol.status == "feasible_bound"
+        assert sol.max_degree == 43
+        assert sol.lower_bound == 41
+        assert gvs_max_degree(inst, sol.cover) == 43
+        assert sol.objective == score_cover(inst, sol.cover)
+
+    @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
+    def test_limit_without_incumbent_times_out(self, monkeypatch):
+        self.preset(monkeypatch, mip_max_nodes=0)
+        assert solve_ip_exact(uf50_draw()) == IpSolution(
+            "timed_out", None, None, None, None, None)
 
 
 class TestExport:
@@ -359,10 +522,7 @@ def greedy_equivalence_instances():
     ]
     for n in (4, 5, 6):
         for _ in range(3):
-            clauses = [tuple(v if rng.random() < 0.5 else -v
-                             for v in rng.sample(range(1, n + 1), 3))
-                       for _ in range(rng.randint(3, 10))]
-            out.append(make_instance(clauses, num_vars=n))
+            out.append(draw_3sat(n, rng.randint(3, 10), rng))
     return out
 
 
