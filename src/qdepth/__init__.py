@@ -13,24 +13,14 @@ unconstrained binary objective and the one-layer circuit depth each implies:
 Depth is read off the interaction graph: color its edges so that no two
 touching edges share a color, run one gate layer per color, and add one
 mixer layer.
+
+Importing the package loads none of its modules; each command of the
+command line (`qdepth.cli`) imports only the modules its path runs.
 """
 
-from .pubo import (
-    InteractionGraph,
-    MissingVariableError,
-    Polynomial,
-    UnknownVertexError,
-    VarId,
-    interaction_graph,
-)
-
-__all__ = [
-    "InteractionGraph",
-    "MissingVariableError",
-    "Polynomial",
-    "UnknownVertexError",
-    "VarId",
-    "interaction_graph",
-]
-
 __version__ = "0.1.0"
+
+# seconds an exact solve may take unless --budget or QDEPTH_BUDGET_SECS says
+# otherwise; kept here so the command line can read it without importing
+# the solver
+DEFAULT_BUDGET_SECS = 300.0

@@ -15,6 +15,11 @@ incumbent), 64 usage errors, 65 unreadable or unparseable instance files,
 
 Outputs are deterministic byte-for-byte unless --timings is passed; paths
 given to -o are written atomically (temp file plus rename).
+
+Each command imports only the modules its path runs.  Parsing the command
+line loads `cnf` alone; `inspect` adds `product` and `pubo`; the `linear`
+and `native3` methods add `reports` and `linear` or `schedule`; only
+`gvs-greedy`, `gvs-ip`, `compare` and `export` load `optimize` and `gvs`.
 """
 
 from __future__ import annotations
@@ -22,13 +27,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 import time
 import warnings
-from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
+from . import DEFAULT_BUDGET_SECS
 from .cnf import (
     DegenerateClauseError,
     DimacsError,
@@ -38,25 +41,6 @@ from .cnf import (
     load_dimacs,
     parse_dimacs,
 )
-from .gvs import gvs_degree_table, gvs_report
-from .linear import linear_degree_table, linear_report
-from .optimize import (
-    DEFAULT_BUDGET_SECS,
-    build_ip,
-    compare_instance,
-    export_lp,
-    greedy_cover,
-    solve_ip_exact,
-)
-from .product import candidate_pairs, quadratic_pairs
-from .reports import (
-    comparison_table_text,
-    depth_report_text,
-    reports_to_json,
-    rows_to_csv,
-    rows_to_json,
-)
-from .schedule import native3_report
 
 EXIT_OK = 0
 EXIT_BUDGET = 2
@@ -99,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="depth report for one formulation")
     p.add_argument("instance")
     p.add_argument("--method", choices=METHODS, required=True)
-    p.add_argument("--budget", type=float, default=DEFAULT_BUDGET_SECS,
+    p.add_argument("--budget", type=budget_secs, default=DEFAULT_BUDGET_SECS,
                    help="solver budget in seconds (gvs-ip)")
     p.add_argument("--seed", type=int, default=0,
                    help="heuristic seed (gvs-greedy)")
@@ -110,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="linear vs substituted depth table")
     p.add_argument("instances", nargs="+")
-    p.add_argument("--budget", type=float, default=DEFAULT_BUDGET_SECS)
-    p.add_argument("--seeds", type=int, default=20,
+    p.add_argument("--budget", type=budget_secs, default=DEFAULT_BUDGET_SECS)
+    p.add_argument("--seeds", type=seed_count, default=20,
                    help="number of heuristic seeds (0, 1, ...)")
     p.add_argument("--timings", action="store_true")
     add_common(p, formats=("text", "json", "csv"))
@@ -120,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("histogram", help="interaction-degree histogram")
     p.add_argument("instance")
     p.add_argument("--method", choices=METHODS, required=True)
-    p.add_argument("--budget", type=float, default=DEFAULT_BUDGET_SECS)
+    p.add_argument("--budget", type=budget_secs, default=DEFAULT_BUDGET_SECS)
     p.add_argument("--seed", type=int, default=0)
     add_common(p, formats=("text", "json", "csv"))
     p.set_defaults(func=cmd_histogram)
@@ -140,13 +124,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def budget_secs(text: str) -> float:
+    """--budget and QDEPTH_BUDGET_SECS: seconds >= 0, or inf."""
+    try:
+        value = float(text)
+        if value >= 0:  # false for nan too
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"budget must be a number of seconds >= 0, or inf; got {text!r}")
+
+
+def seed_count(text: str) -> int:
+    """--seeds: how many heuristic seeds, at least one."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"seed count must be an integer >= 1; got {text!r}")
+
+
 def effective_budget(flag_value: float) -> float:
+    """QDEPTH_BUDGET_SECS, when set, overrides --budget and obeys its rule."""
     raw = os.environ.get("QDEPTH_BUDGET_SECS")
     if raw is None:
         return flag_value
     try:
-        return float(raw)
-    except ValueError:
+        return budget_secs(raw)
+    except argparse.ArgumentTypeError as exc:
+        print(f"qdepth: error: QDEPTH_BUDGET_SECS: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
 
 
@@ -168,6 +178,8 @@ def write_out(text: str, output: Path | None) -> None:
     if output is None:
         sys.stdout.write(text)
         return
+    import tempfile
+
     fd, tmp = tempfile.mkstemp(dir=output.parent or Path("."),
                                prefix=output.name, suffix=".tmp")
     try:
@@ -183,7 +195,65 @@ def _named_degrees(table) -> tuple[tuple[str, int], ...]:
     return tuple((v.name, d) for v, d in sorted(table.items()))
 
 
+def run_method(inst: Instance, args):
+    """The one dispatch over METHODS, importing only what the method runs.
+
+    Returns (degree table, report builder, exit code).  The builder makes the
+    method's DepthReport, degrees included, only when called, so `histogram`
+    never pays for it.  Exits with EXIT_BUDGET when the exact solve finds no
+    cover within the budget.
+    """
+    from dataclasses import replace
+    from functools import partial
+
+    fields = {}
+    exit_code = EXIT_OK
+    if args.method == "linear":
+        from .linear import linear_degree_table, linear_report
+
+        table = linear_degree_table(inst)
+        build = partial(linear_report, inst)
+    elif args.method == "native3":
+        from .product import native3_hypergraph
+        from .schedule import native3_report
+
+        table = native3_hypergraph(inst).degrees()
+        build = partial(native3_report, inst)
+    else:
+        from .gvs import gvs_degree_table, gvs_report
+
+        if args.method == "gvs-greedy":
+            from .optimize import greedy_cover
+
+            cover = greedy_cover(inst, args.seed)
+        else:
+            from .optimize import solve_ip_exact
+
+            sol = solve_ip_exact(inst, args.budget)
+            if sol.cover is None:
+                print(
+                    f"no substitution choice found within {args.budget:g}s; "
+                    "raise --budget or QDEPTH_BUDGET_SECS",
+                    file=sys.stderr,
+                )
+                raise SystemExit(EXIT_BUDGET)
+            cover = sol.cover
+            fields["solver_status"] = sol.status
+            if sol.status != "optimal":
+                exit_code = EXIT_BUDGET
+        fields["formulation"] = args.method
+        table = gvs_degree_table(inst, cover)
+        build = partial(gvs_report, inst, cover)
+
+    def report():
+        return replace(build(), degrees=_named_degrees(table), **fields)
+
+    return table, report, exit_code
+
+
 def cmd_inspect(args) -> int:
+    from .product import candidate_pairs, quadratic_pairs
+
     name, inst = load_instance(args.instance)
     facts = {
         "command": "inspect",
@@ -210,48 +280,12 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .reports import depth_report_text, reports_to_json
+
     name, inst = load_instance(args.instance)
-    budget = effective_budget(args.budget)
     started = time.perf_counter()
-    exit_code = EXIT_OK
-
-    if args.method == "linear":
-        report = replace(
-            linear_report(inst),
-            degrees=_named_degrees(linear_degree_table(inst)),
-        )
-    elif args.method == "native3":
-        report = native3_report(inst)
-        from .product import native3_hypergraph
-
-        report = replace(
-            report, degrees=_named_degrees(native3_hypergraph(inst).degrees())
-        )
-    elif args.method == "gvs-greedy":
-        cover = greedy_cover(inst, args.seed)
-        report = replace(
-            gvs_report(inst, cover),
-            formulation="gvs-greedy",
-            degrees=_named_degrees(gvs_degree_table(inst, cover)),
-        )
-    else:
-        sol = solve_ip_exact(inst, budget)
-        if sol.cover is None:
-            print(
-                f"no substitution choice found within {budget:g}s; "
-                "raise --budget or QDEPTH_BUDGET_SECS",
-                file=sys.stderr,
-            )
-            return EXIT_BUDGET
-        report = replace(
-            gvs_report(inst, sol.cover),
-            formulation="gvs-ip",
-            solver_status=sol.status,
-            degrees=_named_degrees(gvs_degree_table(inst, sol.cover)),
-        )
-        if sol.status != "optimal":
-            exit_code = EXIT_BUDGET
-
+    _, make_report, exit_code = run_method(inst, args)
+    report = make_report()
     if args.timings:
         report = report.with_wall_time(time.perf_counter() - started)
 
@@ -266,18 +300,22 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    budget = effective_budget(args.budget)
+    from .optimize import compare_instance
+    from .reports import comparison_table_text, rows_to_csv, rows_to_json
+
     rows = []
     for source in args.instances:
         name, inst = load_instance(source)
         rows.append(
             compare_instance(
-                name, inst, budget, range(args.seeds), timings=args.timings
+                name, inst, args.budget, range(args.seeds),
+                timings=args.timings,
             )
         )
     if args.format == "json":
         text = rows_to_json(
-            rows, command="compare", budget_secs=budget, num_seeds=args.seeds
+            rows, command="compare", budget_secs=args.budget,
+            num_seeds=args.seeds,
         )
     elif args.format == "csv":
         text = rows_to_csv(rows)
@@ -290,25 +328,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_histogram(args) -> int:
+    from collections import Counter
+
     name, inst = load_instance(args.instance)
-    exit_code = EXIT_OK
-    if args.method == "linear":
-        table = linear_degree_table(inst)
-    elif args.method == "native3":
-        from .product import native3_hypergraph
-
-        table = native3_hypergraph(inst).degrees()
-    elif args.method == "gvs-greedy":
-        table = gvs_degree_table(inst, greedy_cover(inst, args.seed))
-    else:
-        sol = solve_ip_exact(inst, effective_budget(args.budget))
-        if sol.cover is None:
-            print("no substitution choice found within budget", file=sys.stderr)
-            return EXIT_BUDGET
-        table = gvs_degree_table(inst, sol.cover)
-        if sol.status != "optimal":
-            exit_code = EXIT_BUDGET
-
+    table, _, exit_code = run_method(inst, args)
     counts = Counter(table.values())
     hist = {str(d): counts[d] for d in sorted(counts)}
     if args.format == "json":
@@ -338,6 +361,8 @@ def cmd_histogram(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from .optimize import build_ip, export_lp
+
     _, inst = load_instance(args.instance)
     write_out(export_lp(build_ip(inst)), args.output)
     return EXIT_OK
@@ -345,6 +370,7 @@ def cmd_export(args) -> int:
 
 def cmd_fetch(args) -> int:
     import tarfile
+    import tempfile
     import urllib.request
 
     wanted = args.sets or sorted(SATLIB_SETS)
@@ -404,6 +430,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if "budget" in args:
+            args.budget = effective_budget(args.budget)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

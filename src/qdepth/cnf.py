@@ -48,9 +48,6 @@ class Instance:
             seen.update(abs(lit) for lit in clause)
         return tuple(sorted(seen))
 
-    def is_three_sat(self) -> bool:
-        return all(len(c) == 3 for c in self.clauses)
-
 
 def _canonical_clause(literals: Sequence[int], where: str, allow_degenerate: bool):
     if not literals:

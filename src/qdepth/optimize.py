@@ -54,6 +54,7 @@ from importlib.machinery import EXTENSION_SUFFIXES
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
+from . import DEFAULT_BUDGET_SECS
 from .cnf import Instance
 from .gvs import Cover, gvs_max_degree, make_cover
 from .linear import linear_max_degree
@@ -66,8 +67,6 @@ from .product import (
     quadratic_pairs,
 )
 from .reports import ComparisonRow
-
-DEFAULT_BUDGET_SECS = 300.0
 
 # float dual bounds get this much slack before the integer rounding, so a
 # last-digit wobble cannot inflate the claimed lower bound

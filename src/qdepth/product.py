@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .cnf import DegenerateClauseError, Instance
-from .pubo import InteractionGraph, Polynomial, VarId, graph_union, interaction_graph
+from .pubo import InteractionGraph, Polynomial, VarId
 
 Pair = frozenset[int]
 
@@ -43,10 +43,6 @@ def clause_violation(clause: tuple[int, ...]) -> Polynomial:
     return out
 
 
-def clause_satisfaction(clause: tuple[int, ...]) -> Polynomial:
-    return 1 - clause_violation(clause)
-
-
 def product_objective(instance: Instance) -> Polynomial:
     """Number of violated clauses, to be minimized. Degree 3, no ancillas.
 
@@ -60,19 +56,6 @@ def product_objective(instance: Instance) -> Polynomial:
     return total
 
 
-def clause_expansion_graph(instance: Instance) -> InteractionGraph:
-    """Union of the per-clause violation-term interaction graphs.
-
-    This is deliberately not interaction_graph(product_objective(...)):
-    equal and opposite quadratic terms from different clauses cancel in the
-    sum, but both clauses still execute gates on that pair.
-    """
-    _require_three_sat(instance)
-    return graph_union(
-        interaction_graph(clause_violation(c)) for c in instance.clauses
-    )
-
-
 def quadratic_pairs(instance: Instance) -> frozenset[Pair]:
     """Variable pairs carrying a degree-2 term in some clause expansion."""
     _require_three_sat(instance)
@@ -83,15 +66,6 @@ def quadratic_pairs(instance: Instance) -> frozenset[Pair]:
             if third > 0:
                 pairs.add(frozenset((abs(a), abs(b))))
     return frozenset(pairs)
-
-
-def pair_membership_counts(instance: Instance) -> dict[int, int]:
-    """For each used variable, how many quadratic pairs contain it."""
-    counts = {v: 0 for v in instance.used_variables()}
-    for pair in quadratic_pairs(instance):
-        for v in pair:
-            counts[v] += 1
-    return counts
 
 
 def candidate_pairs(instance: Instance) -> frozenset[Pair]:

@@ -18,7 +18,6 @@ supports matter: scaling coefficients never changes the graph.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -111,40 +110,10 @@ class VarId:
 
 def _join_indices(indices: tuple[int, ...]) -> str:
     # Single digits are concatenated (u13); anything wider is underscored
-    # (u10_11) so the rendered name parses back unambiguously.
+    # (u10_11) so no two index tuples render alike.
     if all(i <= 9 for i in indices):
         return "".join(str(i) for i in indices)
     return "_".join(str(i) for i in indices)
-
-
-def _split_indices(text: str) -> tuple[int, ...]:
-    if "_" in text:
-        return tuple(int(p) for p in text.split("_"))
-    if len(text) > 1:
-        return tuple(int(ch) for ch in text)
-    return (int(text),)
-
-
-_VAR_NAME_RE = re.compile(
-    r"^(?:x(?P<x>\d+)|z(?P<z>\d+)|d(?P<dc>\d+)_(?P<dk>\d+)"
-    r"|du(?P<du>\d+(?:_\d+)*)_(?P<duk>\d+)|u(?P<u>\d+(?:_\d+)*))$"
-)
-
-
-def parse_var_name(name: str) -> VarId:
-    """Inverse of VarId.name for every name this package renders."""
-    m = _VAR_NAME_RE.match(name)
-    if m is None:
-        raise ValueError(f"unrecognized variable name: {name!r}")
-    if m.group("x") is not None:
-        return VarId.x(int(m.group("x")))
-    if m.group("z") is not None:
-        return VarId.z(int(m.group("z")) - 1)
-    if m.group("dc") is not None:
-        return VarId.clause_slack(int(m.group("dc")) - 1, int(m.group("dk")))
-    if m.group("du") is not None:
-        return VarId.sub_slack(_split_indices(m.group("du")), int(m.group("duk")))
-    return VarId.sub(_split_indices(m.group("u")))
 
 
 Monomial = tuple[VarId, ...]
@@ -319,36 +288,6 @@ class Polynomial:
             else:
                 parts.append(f" {sign} {body}")
         return "".join(parts)
-
-    @staticmethod
-    def from_text(text: str) -> "Polynomial":
-        """Parse the debug text form back into a polynomial."""
-        stripped = text.strip()
-        if stripped == "0":
-            return Polynomial()
-        tokens = re.findall(r"[+-]|[^\s+-]+", stripped)
-        terms: dict[Monomial, Fraction] = {}
-        sign = 1
-        pending: str | None = None
-        for tok in tokens:
-            if tok == "+":
-                sign = 1
-                continue
-            if tok == "-":
-                sign = -1
-                continue
-            pending = tok
-            coeff = Fraction(sign)
-            support: set[VarId] = set()
-            for factor in pending.split("*"):
-                if re.fullmatch(r"\d+(/\d+)?(\.\d+)?", factor):
-                    coeff *= Fraction(factor)
-                else:
-                    support.add(parse_var_name(factor))
-            key = tuple(sorted(support))
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-            sign = 1
-        return Polynomial(terms)
 
     # -- equality ----------------------------------------------------------
 

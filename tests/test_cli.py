@@ -52,6 +52,16 @@ heavy = ("numpy", "scipy", "scipy.optimize", "scipy.sparse",
 print(rc, *(m for m in heavy if m in sys.modules), file=sys.stderr)
 """
 
+# runs qdepth.cli.main on argv, then reports on stderr which qdepth modules
+# got imported along the way
+MODULE_PROBE = """
+import sys
+from qdepth.cli import main
+rc = main(sys.argv[1:])
+print(rc, *sorted(m for m in sys.modules if m.startswith("qdepth.")),
+      file=sys.stderr)
+"""
+
 
 class TestInspect:
     def test_text(self, example1_path, capsys):
@@ -142,7 +152,9 @@ class TestCompare:
              "--format", "json"]
         )
         assert rc == 0
-        doc = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert '"budget_secs": 300.0,' in out
+        doc = json.loads(out)
         jsonschema.validate(doc, SCHEMA)
         (row,) = doc["rows"]
         assert row["linear_depth"] == 15
@@ -258,6 +270,40 @@ class TestExitCodes:
         assert proc.returncode == 2
 
 
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "example1", "--method", "gvs-ip", "--budget", "-1"),
+        ("analyze", "example1", "--method", "gvs-ip", "--budget", "nan"),
+        ("histogram", "example1", "--method", "gvs-ip", "--budget=-inf"),
+        ("compare", "example1", "--budget", "soon"),
+        ("compare", "example1", "--seeds", "0"),
+        ("compare", "example1", "--seeds", "-3"),
+        ("compare", "example1", "--seeds", "2.5"),
+    ], ids=["budget-negative", "budget-nan", "budget-minus-inf",
+            "budget-word", "seeds-zero", "seeds-negative", "seeds-fraction"])
+    def test_bad_budget_or_seed_count_is_64(self, argv, capsys):
+        assert main(list(argv)) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"qdepth {argv[0]}: error: argument --" in err
+        assert "must be" in err
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "nan"])
+    def test_bad_env_budget_is_64_with_one_line(self, value, monkeypatch,
+                                                capsys):
+        monkeypatch.setenv("QDEPTH_BUDGET_SECS", value)
+        assert main(["analyze", "example1", "--method", "gvs-ip"]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "qdepth: error: QDEPTH_BUDGET_SECS: budget must be a number of "
+            f"seconds >= 0, or inf; got {value!r}\n")
+
+    def test_infinite_budget_is_accepted(self, capsys):
+        assert main(["analyze", "example1", "--method", "gvs-ip",
+                     "--budget", "inf"]) == 0
+        assert "solver:        optimal" in capsys.readouterr().out
+
+
 class TestRepeatedClauses:
     def test_one_plain_warning_line_per_repeat(self, tmp_path, capsys):
         path = tmp_path / "dup.cnf"
@@ -306,6 +352,29 @@ class TestImportBoundary:
         assert proc.stderr.decode().split() == [
             "0", "scipy.optimize._highspy._core"]
         assert proc.stdout
+
+    @pytest.mark.parametrize("argv,absent", [
+        (("inspect", "example1"),
+         {"linear", "gvs", "optimize", "reports", "schedule"}),
+        (("analyze", "example1", "--method", "linear"), {"gvs", "optimize"}),
+        (("analyze", "example1", "--method", "native3"), {"gvs", "optimize"}),
+    ], ids=["inspect", "linear", "native3"])
+    def test_command_loads_only_the_modules_it_runs(self, argv, absent):
+        proc = run_python("-c", MODULE_PROBE, *argv)
+        rc, *loaded = proc.stderr.decode().split()
+        assert rc == "0" and proc.stdout
+        assert "qdepth.cnf" in loaded
+        assert not {f"qdepth.{m}" for m in absent} & set(loaded)
+
+    @pytest.mark.parametrize("statement,expected", [
+        ("import qdepth", []),
+        ("import qdepth.cli", ["qdepth.cli", "qdepth.cnf"]),
+    ], ids=["package", "cli"])
+    def test_import_loads_no_other_module(self, statement, expected):
+        proc = run_python("-c", f"import sys; {statement}; print(*sorted("
+                          "m for m in sys.modules if m.startswith('qdepth.')))")
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode().split() == expected
 
     @pytest.mark.parametrize("first", ["solve", "scipy.optimize"])
     def test_scipy_optimize_imports_around_a_solve(self, first):

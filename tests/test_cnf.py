@@ -32,7 +32,6 @@ def test_parse_example1():
     assert inst.num_vars == 5
     assert inst.num_clauses == 4
     assert list(inst.clauses) == EXAMPLE1_CLAUSES
-    assert inst.is_three_sat()
     assert inst.used_variables() == (1, 2, 3, 4, 5)
 
 

@@ -1,21 +1,19 @@
 import random
+from collections import Counter
 
 import pytest
 
 from qdepth.cnf import DegenerateClauseError, example1, make_instance
 from qdepth.product import (
     candidate_pairs,
-    clause_expansion_graph,
-    clause_satisfaction,
     clause_violation,
     covering_graph,
     coverings,
     native3_hypergraph,
-    pair_membership_counts,
     product_objective,
     quadratic_pairs,
 )
-from qdepth.pubo import Polynomial, VarId, interaction_graph
+from qdepth.pubo import Polynomial, VarId, graph_union, interaction_graph
 
 from helpers import (
     brute_force_extrema,
@@ -54,10 +52,6 @@ class TestClausePolynomials:
         x1, x2, x3 = (Polynomial.variable(VarId.x(i)) for i in (1, 2, 3))
         assert clause_violation((-1, -2, -3)) == x1 * x2 * x3
 
-    def test_satisfaction_is_complement(self):
-        for clause in [(1, 2, 3), (-1, 2, 3), (1, -2, -3), (-1, -2, -3)]:
-            assert clause_satisfaction(clause) == 1 - clause_violation(clause)
-
     def test_matches_pointwise_indicator(self):
         rng = random.Random(5)
         for _ in range(20):
@@ -69,7 +63,6 @@ class TestClausePolynomials:
                 ),
                 variables,
             )
-            assert clause_satisfaction(clause) == oracle
             assert clause_violation(clause) == 1 - oracle
 
 
@@ -105,7 +98,8 @@ class TestPairSets:
         assert P == pset((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4))
 
     def test_example1_membership_counts(self):
-        assert pair_membership_counts(example1()) == {1: 3, 2: 4, 3: 3, 4: 3, 5: 1}
+        members = Counter(v for p in quadratic_pairs(example1()) for v in p)
+        assert members == {1: 3, 2: 4, 3: 3, 4: 3, 5: 1}
 
     def test_example1_candidate_pairs(self):
         S = candidate_pairs(example1())
@@ -127,7 +121,8 @@ class TestPairSets:
         x1x3 = (VarId.x(1), VarId.x(3))
         assert product_objective(inst).coefficient(x1x3) == 0
         assert frozenset((1, 3)) in quadratic_pairs(inst)
-        g = clause_expansion_graph(inst)
+        g = graph_union(interaction_graph(clause_violation(c))
+                        for c in inst.clauses)
         assert frozenset({VarId.x(1), VarId.x(3)}) in g.edges
         # and the summed graph really is missing edges the union has
         summed = interaction_graph(product_objective(inst))

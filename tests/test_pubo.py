@@ -11,7 +11,6 @@ from qdepth.pubo import (
     VarId,
     interaction_graph,
     mono,
-    parse_var_name,
 )
 
 from helpers import brute_force_extrema, interpolate_multilinear
@@ -30,24 +29,6 @@ class TestVarId:
         assert VarId.sub((10, 11)).name == "u10_11"
         assert VarId.sub_slack((1, 3), 1).name == "du13_1"
         assert VarId.sub_slack((10, 11), 2).name == "du10_11_2"
-
-    def test_parse_round_trip(self):
-        for v in [
-            VarId.x(5),
-            VarId.z(2),
-            VarId.clause_slack(0, 1),
-            VarId.sub((1, 3)),
-            VarId.sub((10, 11)),
-            VarId.sub((2, 5, 7)),
-            VarId.sub_slack((1, 3), 3),
-            VarId.sub_slack((10, 11), 1),
-        ]:
-            assert parse_var_name(v.name) == v
-
-    def test_parse_rejects_junk(self):
-        for bad in ["", "y3", "x", "u1", "d3", "xx1", "u_1_2"]:
-            with pytest.raises(ValueError):
-                parse_var_name(bad)
 
     def test_order_matches_rendered_names(self):
         # Sorting VarIds must agree with sorting their names, so printed
@@ -173,13 +154,6 @@ class TestOracles:
             seen.add(p.evaluate(pt))
         assert lo == min(seen)
         assert hi == max(seen)
-
-    def test_text_round_trip(self):
-        rng = random.Random(19)
-        variables = [VarId.x(1), VarId.x(2), U13, D, VarId.z(0)]
-        for _ in range(25):
-            p = random_polynomial(rng, variables, 6)
-            assert Polynomial.from_text(p.to_text()) == p
 
 
 class TestInteractionGraph:
