@@ -54,7 +54,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .cnf import Instance
 from .linear import InvalidPenaltyError, default_penalty
@@ -71,10 +71,6 @@ from .reports import DepthReport
 
 class InvalidCoverError(ValueError):
     """A cover assignment does not match the instance's clauses."""
-
-
-class InconsistentOverlapDataError(ValueError):
-    """Supplied overlap counts disagree with the substitution sets."""
 
 
 @dataclass(frozen=True)
@@ -280,124 +276,3 @@ def gvs_report(instance: Instance, cover: Cover) -> DepthReport:
         substitutions=num_subs,
     )
 
-
-# -- arbitrary-size substitution calculator ---------------------------------
-
-
-@dataclass(frozen=True)
-class GeneralSubstitution:
-    """A substitution over any number of variables, described abstractly.
-
-    variables: the substituted index set (>= 2 distinct indices).
-    num_sum_slacks: slack count m of the sum constraint
-        u = sum(x) - (|u|-1) + slacks; each member variable additionally
-        gets its own two-term constraint u = x - slack.
-    covered_clauses: how many clause terms this substitution absorbs, each
-        contributing one edge from u to that clause's surviving variable.
-    """
-
-    variables: tuple[int, ...]
-    num_sum_slacks: int = 1
-    covered_clauses: int = 0
-
-    def __post_init__(self):
-        vs = tuple(sorted(set(self.variables)))
-        if len(vs) < 2:
-            raise ValueError("substitution needs at least 2 distinct variables")
-        if self.num_sum_slacks < 1:
-            raise ValueError("need at least one sum-constraint slack")
-        if self.covered_clauses < 0:
-            raise ValueError("covered_clauses must be >= 0")
-        object.__setattr__(self, "variables", vs)
-
-
-@dataclass(frozen=True)
-class GeneralDegrees:
-    variable_degrees: tuple[tuple[int, int], ...]  # (var index, degree)
-    substitution_degrees: tuple[int, ...]          # aligned with input order
-    sum_slack_degrees: tuple[int, ...]             # per substitution: |u|+m
-    member_slack_degree: int                       # always 2
-    max_degree: int
-
-    def variable_degree(self, var: int) -> int:
-        for v, d in self.variable_degrees:
-            if v == var:
-                return d
-        raise KeyError(var)
-
-
-def general_substitution_degrees(
-    substitutions: Sequence[GeneralSubstitution],
-    free_counts: Mapping[int, int] | None = None,
-    overlap_counts: Mapping[frozenset[int], int] | None = None,
-) -> GeneralDegrees:
-    """Degree calculator for substitutions of arbitrary size.
-
-    Stands alone from the pair pipeline: inputs are abstract counts, not an
-    instance.  Per variable, each containing substitution u contributes
-    |u| + m_u + 1 neighbors (u itself, the other members, the sum slacks and
-    the variable's own member slack); co-membership with another variable in
-    k > 1 substitutions double-counts that edge k-1 times and is corrected;
-    free_counts[i] adds one u-x edge per clause where x_i survives.  Free
-    variables are assumed distinct from the substitutions covering them, and
-    repeated (substitution, free variable) combinations are counted without
-    merging.
-
-    overlap_counts, when given, must map variable pairs to the number of
-    substitutions containing both; it is validated against the substitution
-    sets and exists so externally tabulated data can be cross-checked.
-    """
-    computed_overlap: Counter[frozenset[int]] = Counter()
-    membership: dict[int, list[int]] = {}
-    for k, sub in enumerate(substitutions):
-        for v in sub.variables:
-            membership.setdefault(v, []).append(k)
-        vs = sub.variables
-        for a in range(len(vs)):
-            for b in range(a + 1, len(vs)):
-                computed_overlap[frozenset((vs[a], vs[b]))] += 1
-
-    if overlap_counts is not None:
-        keys = set(computed_overlap) | set(overlap_counts)
-        for key in keys:
-            given = overlap_counts.get(key, 0)
-            actual = computed_overlap.get(key, 0)
-            if given != actual:
-                raise InconsistentOverlapDataError(
-                    f"overlap for {tuple(sorted(key))}: given {given}, "
-                    f"substitution sets imply {actual}"
-                )
-
-    free_counts = dict(free_counts or {})
-    var_indices = sorted(set(membership) | set(free_counts))
-    var_degrees = []
-    for v in var_indices:
-        total = 0
-        for k in membership.get(v, ()):
-            sub = substitutions[k]
-            total += len(sub.variables) + sub.num_sum_slacks + 1
-        for key, count in computed_overlap.items():
-            if v in key and count > 1:
-                total -= count - 1
-        total += free_counts.get(v, 0)
-        var_degrees.append((v, total))
-
-    sub_degrees = tuple(
-        2 * len(s.variables) + s.num_sum_slacks + s.covered_clauses
-        for s in substitutions
-    )
-    sum_slack_degrees = tuple(
-        len(s.variables) + s.num_sum_slacks for s in substitutions
-    )
-    candidates = [d for _, d in var_degrees]
-    candidates.extend(sub_degrees)
-    candidates.extend(sum_slack_degrees)
-    if substitutions:
-        candidates.append(2)
-    return GeneralDegrees(
-        variable_degrees=tuple(var_degrees),
-        substitution_degrees=sub_degrees,
-        sum_slack_degrees=sum_slack_degrees,
-        member_slack_degree=2,
-        max_degree=max(candidates, default=0),
-    )

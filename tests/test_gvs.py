@@ -9,12 +9,9 @@ from hypothesis import given, settings, strategies as st
 from qdepth.cnf import DegenerateClauseError, example1, make_instance
 from qdepth.gvs import (
     Cover,
-    GeneralSubstitution,
-    InconsistentOverlapDataError,
     InvalidCoverError,
     cover_free_variables,
     dualize_gvs,
-    general_substitution_degrees,
     gvs_ancillas,
     gvs_degree_table,
     gvs_derived_graph,
@@ -28,12 +25,7 @@ from qdepth.gvs import (
 from qdepth.linear import InvalidPenaltyError, linear_derived_graph, linear_report
 from qdepth.optimize import greedy_cover
 from qdepth.product import product_objective, quadratic_pairs
-from qdepth.pubo import (
-    Polynomial,
-    VarId,
-    graph_union,
-    interaction_graph,
-)
+from qdepth.pubo import Polynomial, VarId
 
 from helpers import (
     brute_force_argmin,
@@ -343,115 +335,3 @@ class TestReport:
         with pytest.raises(DegenerateClauseError):
             gvs_report(inst, cover)
 
-
-class TestGeneralCalculator:
-    def test_pair_single_substitution(self):
-        subs = [GeneralSubstitution((1, 2), num_sum_slacks=1)]
-        got = general_substitution_degrees(subs)
-        assert got.variable_degree(1) == 4
-        assert got.variable_degree(2) == 4
-        assert got.substitution_degrees == (5,)
-        assert got.sum_slack_degrees == (3,)
-        assert got.member_slack_degree == 2
-
-    def test_pair_with_covered_clauses(self):
-        subs = [GeneralSubstitution((1, 2), 1, covered_clauses=3)]
-        got = general_substitution_degrees(subs)
-        assert got.substitution_degrees == (8,)  # 5 + |C_u|
-
-    def test_triple_example(self):
-        subs = [GeneralSubstitution((1, 2, 3), num_sum_slacks=2, covered_clauses=1)]
-        got = general_substitution_degrees(subs)
-        assert got.substitution_degrees == (9,)  # 2*3 + 2 + 1
-
-    def test_matches_pair_pipeline_without_quadratic_terms(self):
-        # all-negative clauses have empty quadratic-pair sets, which is the
-        # regime the general formulas describe; both routes must agree there
-        inst = make_instance([(-1, -2, -3), (-1, -2, -4), (-3, -4, -5)])
-        cover = make_cover(inst, [(1, 2), (1, 2), (3, 4)])
-        table = gvs_degree_table(inst, cover)
-        subs = [
-            GeneralSubstitution((1, 2), 1, covered_clauses=2),
-            GeneralSubstitution((3, 4), 1, covered_clauses=1),
-        ]
-        frees = cover_free_variables(inst, cover)
-        free_counts = {v: frees.count(v) for v in set(frees)}
-        got = general_substitution_degrees(subs, free_counts)
-        for v in inst.used_variables():
-            assert got.variable_degree(v) == table[VarId.x(v)], v
-        assert got.substitution_degrees == (
-            table[VarId.sub((1, 2))],
-            table[VarId.sub((3, 4))],
-        )
-
-    def test_matches_synthetic_construction(self):
-        # build the constraint blocks explicitly for two overlapping
-        # size-3 substitutions and compare every degree against the union graph
-        u1 = VarId.sub((1, 2, 3))
-        u2 = VarId.sub((1, 2, 4))
-        x = {i: Polynomial.variable(VarId.x(i)) for i in range(1, 8)}
-        p1, p2 = Polynomial.variable(u1), Polynomial.variable(u2)
-
-        def slack(sub_idx, k):
-            return Polynomial.variable(VarId.sub_slack(sub_idx, k))
-
-        blocks = [
-            # u1 over {1,2,3}, two sum slacks, three member slacks
-            (p1 - x[1] - x[2] - x[3] - slack((1, 2, 3), 1) - slack((1, 2, 3), 2) + 2),
-            (p1 - x[1] + slack((1, 2, 3), 3)),
-            (p1 - x[2] + slack((1, 2, 3), 4)),
-            (p1 - x[3] + slack((1, 2, 3), 5)),
-            # u2 over {1,2,4}, one sum slack, three member slacks
-            (p2 - x[1] - x[2] - x[4] - slack((1, 2, 4), 1) + 2),
-            (p2 - x[1] + slack((1, 2, 4), 2)),
-            (p2 - x[2] + slack((1, 2, 4), 3)),
-            (p2 - x[4] + slack((1, 2, 4), 4)),
-        ]
-        addends = [b.square() for b in blocks]
-        # covered clauses: u1 absorbs two (frees x5, x6), u2 one (free x7)
-        addends.append(p1 * x[5])
-        addends.append(p1 * x[6])
-        addends.append(p2 * x[7])
-        graph = graph_union(interaction_graph(p) for p in addends)
-
-        subs = [
-            GeneralSubstitution((1, 2, 3), num_sum_slacks=2, covered_clauses=2),
-            GeneralSubstitution((1, 2, 4), num_sum_slacks=1, covered_clauses=1),
-        ]
-        got = general_substitution_degrees(subs, {5: 1, 6: 1, 7: 1})
-        for i in range(1, 8):
-            assert got.variable_degree(i) == graph.degree(VarId.x(i)), i
-        assert got.substitution_degrees == (graph.degree(u1), graph.degree(u2))
-        assert got.sum_slack_degrees == (
-            graph.degree(VarId.sub_slack((1, 2, 3), 1)),
-            graph.degree(VarId.sub_slack((1, 2, 4), 1)),
-        )
-        assert graph.degree(VarId.sub_slack((1, 2, 3), 3)) == 2
-
-    def test_overlap_validation(self):
-        subs = [
-            GeneralSubstitution((1, 2, 3), 1),
-            GeneralSubstitution((1, 2, 4), 1),
-        ]
-        ok = {
-            frozenset((1, 2)): 2,
-            frozenset((1, 3)): 1,
-            frozenset((2, 3)): 1,
-            frozenset((1, 4)): 1,
-            frozenset((2, 4)): 1,
-        }
-        general_substitution_degrees(subs, overlap_counts=ok)
-        bad = dict(ok)
-        bad[frozenset((1, 2))] = 1
-        with pytest.raises(InconsistentOverlapDataError):
-            general_substitution_degrees(subs, overlap_counts=bad)
-        missing = dict(ok)
-        del missing[frozenset((1, 4))]
-        with pytest.raises(InconsistentOverlapDataError):
-            general_substitution_degrees(subs, overlap_counts=missing)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            GeneralSubstitution((1,), 1)
-        with pytest.raises(ValueError):
-            GeneralSubstitution((1, 2), 0)
