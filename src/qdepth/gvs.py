@@ -53,11 +53,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .cnf import Instance
-from .linear import InvalidPenaltyError, default_penalty
+from .linear import checked_penalty
 from .product import Pair, clause_violation, quadratic_pairs
 from .pubo import (
     InteractionGraph,
@@ -82,32 +81,28 @@ class Cover:
     @property
     def used(self) -> tuple[Pair, ...]:
         """Distinct pairs, sorted for deterministic iteration."""
-        return tuple(
-            frozenset(p) for p in sorted({tuple(sorted(p)) for p in self.pairs})
-        )
+        return tuple(sorted(set(self.pairs)))
 
     @property
     def num_substitutions(self) -> int:
-        return len({tuple(sorted(p)) for p in self.pairs})
-
-    def clauses_covered_by(self, pair: Iterable[int]) -> tuple[int, ...]:
-        key = frozenset(pair)
-        return tuple(c for c, p in enumerate(self.pairs) if p == key)
+        return len(set(self.pairs))
 
 
 def make_cover(instance: Instance, pairs: Sequence[Iterable[int]]) -> Cover:
+    """Check one pair per clause, each within its clause, and store every
+    pair as a sorted tuple."""
     if len(pairs) != instance.num_clauses:
         raise InvalidCoverError(
             f"cover has {len(pairs)} entries for {instance.num_clauses} clauses"
         )
     canon = []
     for c, raw in enumerate(pairs):
-        pair = frozenset(raw)
+        pair = tuple(sorted(set(raw)))
         if len(pair) != 2:
             raise InvalidCoverError(f"clause #{c}: pair must have 2 distinct variables")
-        if not pair <= instance.clause_vars(c):
+        if not instance.clause_vars(c).issuperset(pair):
             raise InvalidCoverError(
-                f"clause #{c}: pair {tuple(sorted(pair))} not within "
+                f"clause #{c}: pair {pair} not within "
                 f"clause variables {tuple(sorted(instance.clause_vars(c)))}"
             )
         canon.append(pair)
@@ -118,7 +113,7 @@ def cover_free_variables(instance: Instance, cover: Cover) -> tuple[int, ...]:
     """The unsubstituted variable of each clause, in clause order."""
     out = []
     for c, pair in enumerate(cover.pairs):
-        (free,) = instance.clause_vars(c) - pair
+        (free,) = instance.clause_vars(c).difference(pair)
         out.append(free)
     return tuple(out)
 
@@ -162,19 +157,10 @@ def substitution_penalty(pair: Iterable[int]) -> Polynomial:
     return total
 
 
-def _checked_gvs_penalty(instance: Instance, penalty):
-    if penalty is None:
-        return default_penalty(instance)
-    p = Fraction(penalty)
-    if p <= 0:
-        raise InvalidPenaltyError(f"penalty must be positive, got {penalty}")
-    return p
-
-
 def gvs_addends(instance: Instance, cover: Cover, penalty=None) -> tuple[Polynomial, ...]:
     """Substituted clauses (in clause order) then penalty blocks (sorted pairs)."""
     _validate(instance, cover)
-    lam = _checked_gvs_penalty(instance, penalty)
+    lam = checked_penalty(instance, penalty)
     out = [
         substitute_clause(clause, pair)
         for clause, pair in zip(instance.clauses, cover.pairs)
@@ -192,16 +178,6 @@ def dualize_gvs(instance: Instance, cover: Cover, penalty=None) -> Polynomial:
     return total
 
 
-def gvs_ancillas(cover: Cover) -> tuple[VarId, ...]:
-    out = []
-    for pair in cover.used:
-        idx = tuple(sorted(pair))
-        out.append(VarId.sub(idx))
-        for k in (1, 2, 3):
-            out.append(VarId.sub_slack(idx, k))
-    return tuple(out)
-
-
 def gvs_derived_graph(instance: Instance, cover: Cover) -> InteractionGraph:
     """Union of per-addend interaction graphs; independent of the penalty."""
     return graph_union(
@@ -210,16 +186,8 @@ def gvs_derived_graph(instance: Instance, cover: Cover) -> InteractionGraph:
 
 
 def _validate(instance: Instance, cover: Cover) -> None:
-    if len(cover.pairs) != instance.num_clauses:
-        raise InvalidCoverError(
-            f"cover has {len(cover.pairs)} entries for "
-            f"{instance.num_clauses} clauses"
-        )
-    for c, pair in enumerate(cover.pairs):
-        if not pair <= instance.clause_vars(c):
-            raise InvalidCoverError(
-                f"clause #{c}: pair {tuple(sorted(pair))} not within clause"
-            )
+    """A cover made for another instance fails here as it would in make_cover."""
+    make_cover(instance, cover.pairs)
 
 
 def gvs_degree_table(instance: Instance, cover: Cover) -> dict[VarId, int]:
@@ -244,11 +212,10 @@ def gvs_degree_table(instance: Instance, cover: Cover) -> dict[VarId, int]:
     for v in instance.used_variables():
         table[VarId.x(v)] = pair_terms[v] + free_counts[v]
     for pair in used:
-        idx = tuple(sorted(pair))
-        table[VarId.sub(idx)] = 5 + cover_counts[pair]
-        table[VarId.sub_slack(idx, 1)] = 3
-        table[VarId.sub_slack(idx, 2)] = 2
-        table[VarId.sub_slack(idx, 3)] = 2
+        table[VarId.sub(pair)] = 5 + cover_counts[pair]
+        table[VarId.sub_slack(pair, 1)] = 3
+        table[VarId.sub_slack(pair, 2)] = 2
+        table[VarId.sub_slack(pair, 3)] = 2
     return table
 
 
@@ -275,4 +242,3 @@ def gvs_report(instance: Instance, cover: Cover) -> DepthReport:
         depth_lower=delta + 1,
         substitutions=num_subs,
     )
-

@@ -59,10 +59,6 @@ class InvalidPenaltyError(ValueError):
     """The dualization penalty must be strictly positive."""
 
 
-class IsolatedVariableError(ValueError):
-    """A degree query named a variable that occurs in no clause."""
-
-
 def default_penalty(instance: Instance) -> Fraction:
     # One more than the number of clauses: a single violated residual then
     # costs more than every indicator together can pay.
@@ -84,7 +80,8 @@ def clause_residual(clause: tuple[int, ...], c: int) -> Polynomial:
     return total - 2 - Polynomial.variable(VarId.z(c))
 
 
-def _checked_penalty(instance: Instance, penalty) -> Fraction:
+def checked_penalty(instance: Instance, penalty) -> Fraction:
+    """The given penalty as a Fraction, or the default when it is None."""
     if penalty is None:
         return default_penalty(instance)
     p = Fraction(penalty)
@@ -95,7 +92,7 @@ def _checked_penalty(instance: Instance, penalty) -> Fraction:
 
 def linear_addends(instance: Instance, penalty=None) -> tuple[Polynomial, ...]:
     """Per-clause contributions z_c - penalty * f_c^2, in clause order."""
-    p = _checked_penalty(instance, penalty)
+    p = checked_penalty(instance, penalty)
     out = []
     for c, clause in enumerate(instance.clauses):
         residual = clause_residual(clause, c)
@@ -136,14 +133,6 @@ def _variable_degree(instance: Instance, var: int, clauses) -> int:
                 covar_multiplicity[other] += 1
     repeats = sum(m - 1 for m in covar_multiplicity.values())
     return 5 * len(clauses) - repeats
-
-
-def linear_degree(instance: Instance, var: int) -> int:
-    """Closed-form degree of problem variable `var` in the derived graph."""
-    incidence = clause_incidence(instance)
-    if var not in incidence:
-        raise IsolatedVariableError(f"variable {var} occurs in no clause")
-    return _variable_degree(instance, var, incidence[var])
 
 
 def linear_degree_table(instance: Instance) -> dict[VarId, int]:

@@ -60,10 +60,10 @@ from .gvs import Cover, gvs_max_degree, make_cover
 from .linear import linear_max_degree
 from .product import (
     Covering,
+    Pair,
     candidate_pairs,
     coverings,
     covering_graph,
-    iter_pairs_sorted,
     quadratic_pairs,
 )
 from .reports import ComparisonRow
@@ -75,11 +75,6 @@ DUAL_BOUND_FUZZ = Fraction(1, 10**9)
 
 class ModelError(RuntimeError):
     """The solver returned something the model rules out (infeasible etc.)."""
-
-
-def _pair_tag(pair: Iterable[int]) -> str:
-    a, b = sorted(pair)
-    return f"{a}_{b}"
 
 
 @dataclass(frozen=True)
@@ -96,7 +91,7 @@ class IpModel:
     names: tuple[str, ...]
     objective: tuple[Fraction, ...]
     rows: tuple[tuple[str, tuple[tuple[int, Fraction], ...], str, Fraction], ...]
-    pairs: tuple[tuple[int, int], ...]
+    pairs: tuple[Pair, ...]
     covers: tuple[Covering, ...]
 
     @property
@@ -114,14 +109,13 @@ def build_ip(instance: Instance) -> IpModel:
     requires building its pair's gadget (z <= y).
     """
     m = instance.num_clauses
-    pairs = list(iter_pairs_sorted(candidate_pairs(instance)))
-    quad = {tuple(sorted(p)) for p in quadratic_pairs(instance)}
+    pairs = sorted(candidate_pairs(instance))
+    quad = quadratic_pairs(instance)
     covs = coverings(instance)
-    cov_pairs = [tuple(sorted(c.pair)) for c in covs]
 
     names = ["obj"]
-    names += [f"y_{_pair_tag(p)}" for p in pairs]
-    names += [f"z_c{c.clause}_{a}_{b}" for c, (a, b) in zip(covs, cov_pairs)]
+    names += [f"y_{a}_{b}" for a, b in pairs]
+    names += [f"z_c{c.clause}_{c.pair[0]}_{c.pair[1]}" for c in covs]
 
     y_index = {p: 1 + i for i, p in enumerate(pairs)}
     z_base = 1 + len(pairs)
@@ -144,8 +138,8 @@ def build_ip(instance: Instance) -> IpModel:
     pair_rows = {p: {0: -one} for p in pairs}
     clause_rows: list[dict[int, Fraction]] = [{} for _ in range(m)]
     links = []
-    for k, (cov, p) in enumerate(zip(covs, cov_pairs)):
-        z = z_base + k
+    for k, cov in enumerate(covs):
+        z, p = z_base + k, cov.pair
         var_rows[cov.free][z] = one
         pair_rows[p][z] = one
         clause_rows[cov.clause][z] = one
@@ -154,8 +148,8 @@ def build_ip(instance: Instance) -> IpModel:
 
     rows = [(f"deg_v_{a}", tuple(coeffs.items()), "<=", Fraction(-num_quad[a]))
             for a, coeffs in var_rows.items()]
-    rows += [(f"deg_s_{_pair_tag(p)}", tuple(coeffs.items()), "<=",
-              Fraction(-5)) for p, coeffs in pair_rows.items()]
+    rows += [(f"deg_s_{a}_{b}", tuple(coeffs.items()), "<=", Fraction(-5))
+             for (a, b), coeffs in pair_rows.items()]
     rows += [(f"cover_c{c}", tuple(coeffs.items()), "=", one)
              for c, coeffs in enumerate(clause_rows)]
     rows += links
@@ -188,10 +182,6 @@ class IpSolution:
     objective: Fraction | None
     lower_bound: int | None
 
-    @property
-    def proved_optimal(self) -> bool:
-        return self.status == "optimal"
-
 
 def _degree_lower_bound(dual_bound: float, num_pairs: int, m: int) -> int | None:
     if not math.isfinite(dual_bound):
@@ -205,13 +195,13 @@ def _degree_lower_bound(dual_bound: float, num_pairs: int, m: int) -> int | None
 def _extract_cover(model: IpModel, x: Sequence[float]) -> Cover:
     m = model.instance.num_clauses
     z_base = 1 + len(model.pairs)
-    choice: list[tuple[int, int] | None] = [None] * m
+    choice: list[Pair | None] = [None] * m
     best = [-1.0] * m
     for k, cov in enumerate(model.covers):
         val = float(x[z_base + k])
         if val > best[cov.clause]:
             best[cov.clause] = val
-            choice[cov.clause] = tuple(sorted(cov.pair))
+            choice[cov.clause] = cov.pair
     if any(v < 0.5 for v in best):
         raise ModelError("incumbent leaves a clause uncovered")
     return make_cover(model.instance, choice)
@@ -339,7 +329,7 @@ def enumerate_exact(instance: Instance) -> IpSolution:
     choice order, making the returned cover deterministic.
     """
     m = instance.num_clauses
-    quad = {tuple(sorted(p)) for p in quadratic_pairs(instance)}
+    quad = quadratic_pairs(instance)
     p_count = Counter(v for p in quad for v in p)
     variables = instance.used_variables()
     clause_options = []
@@ -353,7 +343,7 @@ def enumerate_exact(instance: Instance) -> IpSolution:
     best: Fraction | None = None
     best_choice = None
     for choice in product(*clause_options):
-        used: dict[tuple[int, int], int] = {}
+        used: dict[Pair, int] = {}
         free_counts: Counter = Counter()
         for pair, free in choice:
             used[pair] = used.get(pair, 0) + 1
@@ -437,13 +427,13 @@ class _CoverIndex:
     list of pairs.
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    pairs: tuple[Pair, ...]
     reach: tuple[tuple[int, ...], ...]           # pair id -> its clauses
     clause_pairs: tuple[tuple[int, ...], ...]    # clause -> its 3 pair ids
 
 
 def _cover_index(instance: Instance) -> _CoverIndex:
-    graph = {tuple(sorted(p)): cs for p, cs in covering_graph(instance).items()}
+    graph = covering_graph(instance)
     pairs = tuple(sorted(graph))
     reach = tuple(graph[p] for p in pairs)
     clause_pairs: list[list[int]] = [[] for _ in range(instance.num_clauses)]
@@ -462,7 +452,7 @@ def _greedy_from_index(
     for i, g in enumerate(gain):
         buckets[g].append(i)
     top = len(buckets) - 1
-    assignment: list[tuple[int, int] | None] = [None] * len(index.clause_pairs)
+    assignment: list[Pair | None] = [None] * len(index.clause_pairs)
     remaining = len(assignment)
     while remaining:
         while not buckets[top]:

@@ -16,18 +16,22 @@ Two pair sets drive everything downstream:
 * candidate pairs: every pair of variables sharing a clause.  Substituting
   such a pair removes that clause's cubic term, so these are the options the
   substitution optimizer chooses from.
+
+A pair is a `Pair`: a tuple of two distinct variable indices, smaller
+first.  Every pair this module returns, in a set, a `Covering` or a
+`covering_graph` key, has that form, so pairs compare, hash and sort alike
+everywhere downstream without conversion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
 
 from .cnf import DegenerateClauseError, Instance
 from .pubo import InteractionGraph, Polynomial, VarId
 
-Pair = frozenset[int]
+Pair = tuple[int, int]  # (i, j) with i < j
 
 
 def literal_factor(lit: int) -> Polynomial:
@@ -64,7 +68,7 @@ def quadratic_pairs(instance: Instance) -> frozenset[Pair]:
         for a, b in combinations(clause, 2):
             third = next(l for l in clause if l not in (a, b))
             if third > 0:
-                pairs.add(frozenset((abs(a), abs(b))))
+                pairs.add(tuple(sorted((abs(a), abs(b)))))
     return frozenset(pairs)
 
 
@@ -73,8 +77,7 @@ def candidate_pairs(instance: Instance) -> frozenset[Pair]:
     _require_three_sat(instance)
     pairs: set[Pair] = set()
     for c in range(instance.num_clauses):
-        for pair in combinations(sorted(instance.clause_vars(c)), 2):
-            pairs.add(frozenset(pair))
+        pairs.update(combinations(sorted(instance.clause_vars(c)), 2))
     return frozenset(pairs)
 
 
@@ -95,7 +98,7 @@ def coverings(instance: Instance) -> tuple[Covering, ...]:
         vs = sorted(instance.clause_vars(c))
         for pair in combinations(vs, 2):
             free = next(v for v in vs if v not in pair)
-            out.append(Covering(c, frozenset(pair), free))
+            out.append(Covering(c, pair, free))
     return tuple(out)
 
 
@@ -131,9 +134,3 @@ def _require_three_sat(instance: Instance) -> None:
                 f"clause #{c} has {len(clause)} literals; "
                 "this encoding needs exactly 3"
             )
-
-
-def iter_pairs_sorted(pairs: frozenset[Pair]) -> Iterator[tuple[int, int]]:
-    """Deterministic iteration order for pair sets."""
-    for pair in sorted(tuple(sorted(p)) for p in pairs):
-        yield pair

@@ -119,11 +119,6 @@ def _join_indices(indices: tuple[int, ...]) -> str:
 Monomial = tuple[VarId, ...]
 
 
-def mono(*variables: VarId) -> Monomial:
-    """Canonical (sorted, duplicate-free) monomial support."""
-    return tuple(sorted(set(variables)))
-
-
 class Polynomial:
     """Immutable multilinear polynomial with Fraction coefficients."""
 
@@ -355,14 +350,6 @@ class InteractionGraph:
 
     def is_simple(self) -> bool:
         return all(len(e) == 2 for e in self.edges)
-
-    def union(self, *others: "InteractionGraph") -> "InteractionGraph":
-        vertices = set(self.vertices)
-        edges = set(self.edges)
-        for g in others:
-            vertices |= g.vertices
-            edges |= g.edges
-        return InteractionGraph(frozenset(vertices), frozenset(edges))
 
 
 def interaction_graph(p: Polynomial) -> InteractionGraph:

@@ -12,7 +12,7 @@ from qdepth.gvs import (
     InvalidCoverError,
     cover_free_variables,
     dualize_gvs,
-    gvs_ancillas,
+    gvs_addends,
     gvs_degree_table,
     gvs_derived_graph,
     gvs_max_degree,
@@ -23,7 +23,7 @@ from qdepth.gvs import (
     substitution_residuals,
 )
 from qdepth.linear import InvalidPenaltyError, linear_derived_graph, linear_report
-from qdepth.optimize import greedy_cover
+from qdepth.optimize import enumerate_exact, greedy_cover
 from qdepth.product import product_objective, quadratic_pairs
 from qdepth.pubo import Polynomial, VarId
 
@@ -43,9 +43,20 @@ class TestCover:
     def test_example1_cover(self):
         cover = example1_cover()
         assert cover.num_substitutions == 2
-        assert cover.clauses_covered_by((1, 3)) == (0, 1)
-        assert cover.clauses_covered_by((2, 5)) == (2, 3)
+        assert cover.pairs == ((1, 3), (1, 3), (2, 5), (2, 5))
+        assert cover.used == ((1, 3), (2, 5))
         assert cover_free_variables(example1(), cover) == (2, 4, 4, 1)
+
+    def test_pairs_stored_as_sorted_tuples(self):
+        inst = example1()
+        cover = make_cover(inst, [(3, 1), [1, 3], {5, 2}, iter((5, 2))])
+        assert cover == example1_cover()
+        # a set of 9 and 2 iterates 9 first
+        assert make_cover(make_instance([(2, 5, 9)]), [{9, 2}]).pairs == ((2, 9),)
+        for found in (cover, greedy_cover(inst, 3), enumerate_exact(inst).cover):
+            for p in found.pairs:
+                assert type(p) is tuple and p[0] < p[1], found.pairs
+                assert all(type(v) is int for v in p), found.pairs
 
     def test_validation(self):
         inst = example1()
@@ -238,7 +249,8 @@ class TestDegrees:
             assert t1[d] == t2[d]
 
     def test_ancillas(self):
-        assert len(gvs_ancillas(example1_cover())) == 8
+        table = gvs_degree_table(example1(), example1_cover())
+        assert sum(not v.name.startswith("x") for v in table) == 8
 
 
 def reference_degree_table(instance, cover):
@@ -318,6 +330,27 @@ class TestEdgeCounts:
             gvs_derived_graph(inst, cover).edges)
 
 
+class TestForeignCover:
+    """A cover made for another instance is refused, with make_cover's
+    messages, by every function that takes one."""
+
+    @pytest.mark.parametrize("fn", [gvs_report, gvs_degree_table, gvs_addends])
+    def test_wrong_clause_count(self, fn):
+        inst = make_instance(example1().clauses[:3])
+        with pytest.raises(InvalidCoverError, match="4 entries for 3 clauses"):
+            fn(inst, example1_cover())
+
+    @pytest.mark.parametrize("fn", [gvs_report, gvs_degree_table, gvs_addends])
+    def test_pair_outside_its_clause(self, fn):
+        # example1 with its first and third clauses swapped: (1, 3) is no
+        # longer within clause #0
+        c = example1().clauses
+        inst = make_instance([c[2], c[1], c[0], c[3]])
+        with pytest.raises(InvalidCoverError,
+                           match=r"clause #0: pair \(1, 3\) not within"):
+            fn(inst, example1_cover())
+
+
 class TestReport:
     def test_example1_report(self):
         r = gvs_report(example1(), example1_cover())
@@ -334,4 +367,3 @@ class TestReport:
         cover = make_cover(inst, [(1, 2), (1, 4)])
         with pytest.raises(DegenerateClauseError):
             gvs_report(inst, cover)
-

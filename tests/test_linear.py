@@ -6,12 +6,10 @@ import pytest
 from qdepth.cnf import DegenerateClauseError, example1, make_instance
 from qdepth.linear import (
     InvalidPenaltyError,
-    IsolatedVariableError,
     clause_residual,
     default_penalty,
     dualize_linear,
     linear_addends,
-    linear_degree,
     linear_degree_table,
     linear_derived_graph,
     linear_max_degree,
@@ -137,7 +135,6 @@ class TestDerivedGraph:
 
     def test_example1_degrees(self):
         inst = example1()
-        assert linear_degree(inst, 1) == 13
         assert linear_max_degree(inst) == 13
         table = linear_degree_table(inst)
         assert table[VarId.x(1)] == 13
@@ -158,7 +155,7 @@ class TestDerivedGraph:
         # are discounted exactly once each
         inst = make_instance([(1, 2, 3), (-1, 2, -3)])
         g = linear_derived_graph(inst)
-        assert linear_degree(inst, 1) == 10 - 2
+        assert linear_degree_table(inst)[VarId.x(1)] == 10 - 2
         assert g.degree(VarId.x(1)) == 8
 
     def test_graph_ignores_penalty(self):
@@ -167,11 +164,6 @@ class TestDerivedGraph:
         a = [interaction_graph(p) for p in linear_addends(inst, 1)]
         b = [interaction_graph(p) for p in linear_addends(inst, 99)]
         assert a == b
-
-    def test_isolated_variable_rejected(self):
-        inst = make_instance([(1, 2, 3)], num_vars=5)
-        with pytest.raises(IsolatedVariableError):
-            linear_degree(inst, 4)
 
 
 class TestReport:

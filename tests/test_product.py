@@ -25,7 +25,7 @@ from helpers import (
 
 
 def pset(*pairs):
-    return frozenset(frozenset(p) for p in pairs)
+    return frozenset(pairs)
 
 
 class TestClausePolynomials:
@@ -120,7 +120,7 @@ class TestPairSets:
         inst = example1()
         x1x3 = (VarId.x(1), VarId.x(3))
         assert product_objective(inst).coefficient(x1x3) == 0
-        assert frozenset((1, 3)) in quadratic_pairs(inst)
+        assert (1, 3) in quadratic_pairs(inst)
         g = graph_union(interaction_graph(clause_violation(c))
                         for c in inst.clauses)
         assert frozenset({VarId.x(1), VarId.x(3)}) in g.edges
@@ -133,17 +133,39 @@ class TestCoverings:
     def test_example1_covering_graph(self):
         cg = covering_graph(example1())
         assert sum(len(cs) for cs in cg.values()) == 12
-        assert cg[frozenset((1, 3))] == (0, 1)
-        assert cg[frozenset((2, 5))] == (2, 3)
-        assert cg[frozenset((4, 5))] == (2,)
+        assert cg[(1, 3)] == (0, 1)
+        assert cg[(2, 5)] == (2, 3)
+        assert cg[(4, 5)] == (2,)
 
     def test_covering_free_variable(self):
         covs = [c for c in coverings(example1()) if c.clause == 0]
-        assert {(tuple(sorted(c.pair)), c.free) for c in covs} == {
+        assert {(c.pair, c.free) for c in covs} == {
             ((1, 2), 3),
             ((1, 3), 2),
             ((2, 3), 1),
         }
+
+
+def is_sorted_pair(p):
+    return (type(p) is tuple and len(p) == 2
+            and all(type(v) is int for v in p) and p[0] < p[1])
+
+
+class TestPairContract:
+    """Every pair the module hands out is a sorted (i, j) tuple of ints."""
+
+    def test_all_pair_sets_are_sorted_tuples(self):
+        rng = random.Random(41)
+        # clauses listed with their variables out of order and negated
+        instances = [example1(), make_instance([(-3, 1, 2), (5, -4, 3)])]
+        instances += [make_instance(random_3sat_instance(rng, 9, 12), num_vars=9)
+                      for _ in range(5)]
+        for inst in instances:
+            pairs = [*candidate_pairs(inst), *quadratic_pairs(inst),
+                     *(c.pair for c in coverings(inst)), *covering_graph(inst)]
+            assert pairs and all(is_sorted_pair(p) for p in pairs), pairs
+            assert quadratic_pairs(inst) <= candidate_pairs(inst)
+            assert set(covering_graph(inst)) == candidate_pairs(inst)
 
 
 class TestNative3:

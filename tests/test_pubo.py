@@ -9,8 +9,8 @@ from qdepth.pubo import (
     Polynomial,
     UnknownVertexError,
     VarId,
+    graph_union,
     interaction_graph,
-    mono,
 )
 
 from helpers import brute_force_extrema, interpolate_multilinear
@@ -191,9 +191,6 @@ class TestInteractionGraph:
             frozenset({X1, X2, X3}),
             frozenset({frozenset({X1, X2}), frozenset({X2, X3})}),
         )
-        merged = g1.union(g2)
+        merged = graph_union([g1, g2])
         assert merged.degree(X2) == 2
         assert len(merged.edges) == 2
-
-    def test_mono_dedupes(self):
-        assert mono(X2, X1, X2) == (X1, X2)
