@@ -17,9 +17,10 @@ Outputs are deterministic byte-for-byte unless --timings is passed; paths
 given to -o are written atomically (temp file plus rename).
 
 Each command imports only the modules its path runs.  Parsing the command
-line loads `cnf` alone; `inspect` adds `product` and `pubo`; the `linear`
+line loads `cnf` alone; `inspect` adds `product` and `graph`; the `linear`
 and `native3` methods add `reports` and `linear` or `schedule`; only
-`gvs-greedy`, `gvs-ip`, `compare` and `export` load `optimize` and `gvs`.
+`gvs-greedy`, `gvs-ip`, `compare` and `export` load `optimize`, `gvs` and
+`fractions`.  No command builds a polynomial, so none loads `pubo`.
 """
 
 from __future__ import annotations
@@ -203,7 +204,6 @@ def run_method(inst: Instance, args):
     never pays for it.  Exits with EXIT_BUDGET when the exact solve finds no
     cover within the budget.
     """
-    from dataclasses import replace
     from functools import partial
 
     fields = {}
@@ -246,7 +246,7 @@ def run_method(inst: Instance, args):
         build = partial(gvs_report, inst, cover)
 
     def report():
-        return replace(build(), degrees=_named_degrees(table), **fields)
+        return build()._replace(degrees=_named_degrees(table), **fields)
 
     return table, report, exit_code
 

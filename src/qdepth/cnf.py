@@ -12,8 +12,7 @@ indices used throughout the package are positions in that order, 0-based.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class DimacsError(ValueError):
@@ -28,8 +27,7 @@ class DuplicateClauseWarning(UserWarning):
     """The instance contains the same clause (as a literal set) twice."""
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """A CNF instance: variable count and canonicalized clauses."""
 
     num_vars: int

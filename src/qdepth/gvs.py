@@ -52,28 +52,23 @@ edge, merged across clauses with the same pair and free variable.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .cnf import Instance
+from .graph import InteractionGraph, VarId, graph_union
 from .linear import checked_penalty
 from .product import Pair, clause_violation, quadratic_pairs
-from .pubo import (
-    InteractionGraph,
-    Polynomial,
-    VarId,
-    graph_union,
-    interaction_graph,
-)
 from .reports import DepthReport
+
+if TYPE_CHECKING:  # polynomials load only where one is built
+    from .pubo import Polynomial
 
 
 class InvalidCoverError(ValueError):
     """A cover assignment does not match the instance's clauses."""
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(NamedTuple):
     """One substituted pair per clause, in clause order."""
 
     pairs: tuple[Pair, ...]
@@ -118,15 +113,14 @@ def cover_free_variables(instance: Instance, cover: Cover) -> tuple[int, ...]:
     return tuple(out)
 
 
-def substitute_clause(clause: tuple[int, ...], pair: Iterable[int]) -> Polynomial:
+def substitute_clause(clause: tuple[int, ...], pair: Pair) -> Polynomial:
     """Clause violation polynomial with x_i*x_j collapsed to u_{i,j}."""
-    pair = frozenset(pair)
-    if not pair <= {abs(l) for l in clause}:
-        raise InvalidCoverError(
-            f"pair {tuple(sorted(pair))} not within clause {clause}"
-        )
-    i, j = sorted(pair)
-    xi, xj, u = VarId.x(i), VarId.x(j), VarId.sub((i, j))
+    from .pubo import Polynomial
+
+    i, j = pair
+    if not {i, j} <= {abs(l) for l in clause}:
+        raise InvalidCoverError(f"pair {pair} not within clause {clause}")
+    xi, xj, u = VarId.x(i), VarId.x(j), VarId.sub(pair)
     terms = {}
     for support, coeff in clause_violation(clause).terms.items():
         vs = set(support)
@@ -138,23 +132,23 @@ def substitute_clause(clause: tuple[int, ...], pair: Iterable[int]) -> Polynomia
     return Polynomial(terms)
 
 
-def substitution_residuals(pair: Iterable[int]) -> tuple[Polynomial, ...]:
+def substitution_residuals(pair: Pair) -> tuple[Polynomial, ...]:
     """Residuals of constraints A, B, C for the pair, in that order."""
-    i, j = sorted(frozenset(pair))
-    u = Polynomial.variable(VarId.sub((i, j)))
+    from .pubo import Polynomial
+
+    i, j = pair
+    u = Polynomial.variable(VarId.sub(pair))
     xi = Polynomial.variable(VarId.x(i))
     xj = Polynomial.variable(VarId.x(j))
-    d1 = Polynomial.variable(VarId.sub_slack((i, j), 1))
-    d2 = Polynomial.variable(VarId.sub_slack((i, j), 2))
-    d3 = Polynomial.variable(VarId.sub_slack((i, j), 3))
+    d1 = Polynomial.variable(VarId.sub_slack(pair, 1))
+    d2 = Polynomial.variable(VarId.sub_slack(pair, 2))
+    d3 = Polynomial.variable(VarId.sub_slack(pair, 3))
     return (u - xi - xj - d1 + 1, u - xi + d2, u - xj + d3)
 
 
-def substitution_penalty(pair: Iterable[int]) -> Polynomial:
-    total = Polynomial.zero()
-    for r in substitution_residuals(pair):
-        total = total + r.square()
-    return total
+def substitution_penalty(pair: Pair) -> Polynomial:
+    a, b, c = substitution_residuals(pair)
+    return a.square() + b.square() + c.square()
 
 
 def gvs_addends(instance: Instance, cover: Cover, penalty=None) -> tuple[Polynomial, ...]:
@@ -172,6 +166,8 @@ def gvs_addends(instance: Instance, cover: Cover, penalty=None) -> tuple[Polynom
 
 def dualize_gvs(instance: Instance, cover: Cover, penalty=None) -> Polynomial:
     """Quadratic objective, minimized; minimum 0 iff the instance is satisfiable."""
+    from .pubo import Polynomial
+
     total = Polynomial.zero()
     for addend in gvs_addends(instance, cover, penalty):
         total = total + addend
@@ -180,6 +176,8 @@ def dualize_gvs(instance: Instance, cover: Cover, penalty=None) -> Polynomial:
 
 def gvs_derived_graph(instance: Instance, cover: Cover) -> InteractionGraph:
     """Union of per-addend interaction graphs; independent of the penalty."""
+    from .pubo import interaction_graph
+
     return graph_union(
         interaction_graph(p) for p in gvs_addends(instance, cover, 1)
     )
@@ -190,28 +188,37 @@ def _validate(instance: Instance, cover: Cover) -> None:
     make_cover(instance, cover.pairs)
 
 
+def _degree_counts(instance: Instance, cover: Cover) -> tuple[Counter, Counter]:
+    """Each problem variable's degree and each used pair's clause count,
+    for a cover already checked against the instance."""
+    P = quadratic_pairs(instance)
+    cover_counts = Counter(cover.pairs)
+    # per variable: its free occurrences, 4 per used pair holding it (3 if
+    # that pair is also quadratic), plus 1 per quadratic pair holding it
+    degrees = Counter(cover_free_variables(instance, cover))
+    for s in cover_counts:
+        for v in s:
+            degrees[v] += 3 if s in P else 4
+    for p in P:
+        for v in p:
+            degrees[v] += 1
+    return degrees, cover_counts
+
+
+def _max_degree(instance: Instance, cover: Cover) -> int:
+    """Δ of a cover fresh from `make_cover`, without checking it again."""
+    degrees, cover_counts = _degree_counts(instance, cover)
+    # a used pair's slacks (3 and 2) never reach its u's 5 + clauses
+    return max([*degrees.values(), *(5 + n for n in cover_counts.values())],
+               default=0)
+
+
 def gvs_degree_table(instance: Instance, cover: Cover) -> dict[VarId, int]:
     """Closed-form degrees for every vertex of the substituted model."""
     _validate(instance, cover)
-    P = quadratic_pairs(instance)
-    used = cover.used
-    free_counts = Counter(cover_free_variables(instance, cover))
-    cover_counts = Counter(cover.pairs)
-
-    # per variable: 4 per used pair holding it (3 if that pair is also
-    # quadratic), plus 1 per quadratic pair holding it
-    pair_terms: Counter[int] = Counter()
-    for s in used:
-        for v in s:
-            pair_terms[v] += 3 if s in P else 4
-    for p in P:
-        for v in p:
-            pair_terms[v] += 1
-
-    table: dict[VarId, int] = {}
-    for v in instance.used_variables():
-        table[VarId.x(v)] = pair_terms[v] + free_counts[v]
-    for pair in used:
+    degrees, cover_counts = _degree_counts(instance, cover)
+    table = {VarId.x(v): degrees[v] for v in instance.used_variables()}
+    for pair in cover.used:
         table[VarId.sub(pair)] = 5 + cover_counts[pair]
         table[VarId.sub_slack(pair, 1)] = 3
         table[VarId.sub_slack(pair, 2)] = 2
@@ -220,7 +227,8 @@ def gvs_degree_table(instance: Instance, cover: Cover) -> dict[VarId, int]:
 
 
 def gvs_max_degree(instance: Instance, cover: Cover) -> int:
-    return max(gvs_degree_table(instance, cover).values(), default=0)
+    _validate(instance, cover)
+    return _max_degree(instance, cover)
 
 
 def gvs_report(instance: Instance, cover: Cover) -> DepthReport:

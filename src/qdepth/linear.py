@@ -41,18 +41,16 @@ while the variable-variable edges are exactly the pairs sharing a clause.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .cnf import DegenerateClauseError, Instance, clause_incidence
+from .graph import InteractionGraph, VarId, graph_union
 from .product import candidate_pairs
-from .pubo import (
-    InteractionGraph,
-    Polynomial,
-    VarId,
-    graph_union,
-    interaction_graph,
-)
 from .reports import DepthReport
+
+if TYPE_CHECKING:  # exact arithmetic loads only where a polynomial is built
+    from fractions import Fraction
+    from .pubo import Polynomial
 
 
 class InvalidPenaltyError(ValueError):
@@ -60,6 +58,8 @@ class InvalidPenaltyError(ValueError):
 
 
 def default_penalty(instance: Instance) -> Fraction:
+    from fractions import Fraction
+
     # One more than the number of clauses: a single violated residual then
     # costs more than every indicator together can pay.
     return Fraction(instance.num_clauses + 1)
@@ -67,6 +67,8 @@ def default_penalty(instance: Instance) -> Fraction:
 
 def clause_residual(clause: tuple[int, ...], c: int) -> Polynomial:
     """f_c for the clause at index c. Zero iff slacks balance the literals."""
+    from .pubo import Polynomial
+
     if len(clause) != 3:
         raise DegenerateClauseError(
             f"clause #{c} has {len(clause)} literals; this encoding needs 3"
@@ -82,6 +84,8 @@ def clause_residual(clause: tuple[int, ...], c: int) -> Polynomial:
 
 def checked_penalty(instance: Instance, penalty) -> Fraction:
     """The given penalty as a Fraction, or the default when it is None."""
+    from fractions import Fraction
+
     if penalty is None:
         return default_penalty(instance)
     p = Fraction(penalty)
@@ -92,6 +96,8 @@ def checked_penalty(instance: Instance, penalty) -> Fraction:
 
 def linear_addends(instance: Instance, penalty=None) -> tuple[Polynomial, ...]:
     """Per-clause contributions z_c - penalty * f_c^2, in clause order."""
+    from .pubo import Polynomial
+
     p = checked_penalty(instance, penalty)
     out = []
     for c, clause in enumerate(instance.clauses):
@@ -102,24 +108,19 @@ def linear_addends(instance: Instance, penalty=None) -> tuple[Polynomial, ...]:
 
 def dualize_linear(instance: Instance, penalty=None) -> Polynomial:
     """The summed quadratic objective, to be maximized."""
+    from .pubo import Polynomial
+
     total = Polynomial.zero()
     for addend in linear_addends(instance, penalty):
         total = total + addend
     return total
 
 
-def linear_ancillas(instance: Instance) -> tuple[VarId, ...]:
-    out = []
-    for c in range(instance.num_clauses):
-        out.append(VarId.clause_slack(c, 1))
-        out.append(VarId.clause_slack(c, 2))
-        out.append(VarId.z(c))
-    return tuple(out)
-
-
 def linear_derived_graph(instance: Instance) -> InteractionGraph:
     """Union of per-clause interaction graphs: one K6 per clause, overlapped
     on shared problem variables.  Independent of the penalty value."""
+    from .pubo import interaction_graph
+
     return graph_union(
         interaction_graph(addend) for addend in linear_addends(instance, 1)
     )
@@ -140,8 +141,9 @@ def linear_degree_table(instance: Instance) -> dict[VarId, int]:
     table: dict[VarId, int] = {}
     for v, clauses in clause_incidence(instance).items():
         table[VarId.x(v)] = _variable_degree(instance, v, clauses)
-    for a in linear_ancillas(instance):
-        table[a] = 5
+    for c in range(instance.num_clauses):
+        for a in (VarId.clause_slack(c, 1), VarId.clause_slack(c, 2), VarId.z(c)):
+            table[a] = 5
     return table
 
 

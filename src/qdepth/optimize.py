@@ -48,15 +48,14 @@ import tempfile
 import time
 from bisect import bisect_left, insort
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import DEFAULT_BUDGET_SECS
 from .cnf import Instance
-from .gvs import Cover, gvs_max_degree, make_cover
+from .gvs import Cover, _max_degree, gvs_max_degree, make_cover
 from .linear import linear_max_degree
 from .product import (
     Covering,
@@ -77,20 +76,20 @@ class ModelError(RuntimeError):
     """The solver returned something the model rules out (infeasible etc.)."""
 
 
-@dataclass(frozen=True)
-class IpModel:
-    """Pair-selection integer program, held in exact arithmetic.
+class IpModel(NamedTuple):
+    """Pair-selection integer program, held exactly.
 
     Variables are ordered: obj (the max degree, a nonnegative integer),
     then one binary y per candidate pair, then one binary z per covering
-    (clause-major).  Rows are (name, coeffs, sense, rhs) with coeffs keyed
-    by variable index and senses "<=" or "=".
+    (clause-major).  Rows are (name, coeffs, sense, rhs) with int coeffs
+    keyed by variable index, int right-hand sides and senses "<=" or "=".
+    Only the objective needs `Fraction`s, for its 1/(10 |C|) tie-break.
     """
 
     instance: Instance
     names: tuple[str, ...]
     objective: tuple[Fraction, ...]
-    rows: tuple[tuple[str, tuple[tuple[int, Fraction], ...], str, Fraction], ...]
+    rows: tuple[tuple[str, tuple[tuple[int, int], ...], str, int], ...]
     pairs: tuple[Pair, ...]
     covers: tuple[Covering, ...]
 
@@ -128,29 +127,28 @@ def build_ip(instance: Instance) -> IpModel:
     # one pass over the coverings fills every row's coefficients; indices
     # go in ascending (variable, then pair, then covering) order, so each
     # dict is already sorted
-    one = Fraction(1)
     num_quad = Counter(v for p in quad for v in p)
-    var_rows = {a: {0: -one} for a in instance.used_variables()}
+    var_rows = {a: {0: -1} for a in instance.used_variables()}
     for p in pairs:
-        weight = Fraction(4 - (p in quad))
+        weight = 4 - (p in quad)
         for a in p:
             var_rows[a][y_index[p]] = weight
-    pair_rows = {p: {0: -one} for p in pairs}
-    clause_rows: list[dict[int, Fraction]] = [{} for _ in range(m)]
+    pair_rows = {p: {0: -1} for p in pairs}
+    clause_rows: list[dict[int, int]] = [{} for _ in range(m)]
     links = []
     for k, cov in enumerate(covs):
         z, p = z_base + k, cov.pair
-        var_rows[cov.free][z] = one
-        pair_rows[p][z] = one
-        clause_rows[cov.clause][z] = one
+        var_rows[cov.free][z] = 1
+        pair_rows[p][z] = 1
+        clause_rows[cov.clause][z] = 1
         links.append((f"link_{p[0]}_{p[1]}_c{cov.clause}",
-                      ((y_index[p], -one), (z, one)), "<=", Fraction(0)))
+                      ((y_index[p], -1), (z, 1)), "<=", 0))
 
-    rows = [(f"deg_v_{a}", tuple(coeffs.items()), "<=", Fraction(-num_quad[a]))
+    rows = [(f"deg_v_{a}", tuple(coeffs.items()), "<=", -num_quad[a])
             for a, coeffs in var_rows.items()]
-    rows += [(f"deg_s_{a}_{b}", tuple(coeffs.items()), "<=", Fraction(-5))
+    rows += [(f"deg_s_{a}_{b}", tuple(coeffs.items()), "<=", -5)
              for (a, b), coeffs in pair_rows.items()]
-    rows += [(f"cover_c{c}", tuple(coeffs.items()), "=", one)
+    rows += [(f"cover_c{c}", tuple(coeffs.items()), "=", 1)
              for c, coeffs in enumerate(clause_rows)]
     rows += links
 
@@ -164,8 +162,7 @@ def build_ip(instance: Instance) -> IpModel:
     )
 
 
-@dataclass(frozen=True)
-class IpSolution:
+class IpSolution(NamedTuple):
     """Outcome of one exact-solver run.
 
     status is "optimal" when optimality was proven within budget,
@@ -209,9 +206,11 @@ def _extract_cover(model: IpModel, x: Sequence[float]) -> Cover:
 
 def score_cover(instance: Instance, cover: Cover) -> Fraction:
     """Exact objective value of a cover: max degree plus the tie-break mass."""
-    return Fraction(gvs_max_degree(instance, cover)) + Fraction(
-        cover.num_substitutions, 10 * instance.num_clauses
-    )
+    return _score(instance, cover, gvs_max_degree(instance, cover))
+
+
+def _score(instance: Instance, cover: Cover, degree: int) -> Fraction:
+    return degree + Fraction(cover.num_substitutions, 10 * instance.num_clauses)
 
 
 SCIPY_FLOOR = "1.15"  # first release with scipy/optimize/_highspy/_core
@@ -307,7 +306,7 @@ def solve_ip_exact(
                          + highs.modelStatusToString(model_status))
 
     cover = _extract_cover(model, highs.getSolution().col_value)
-    degree = gvs_max_degree(instance, cover)
+    degree = _max_degree(instance, cover)
     lower = degree if status == "optimal" else _degree_lower_bound(
         info.mip_dual_bound, len(model.pairs), instance.num_clauses)
     return IpSolution(
@@ -315,7 +314,7 @@ def solve_ip_exact(
         cover=cover,
         max_degree=degree,
         num_substitutions=cover.num_substitutions,
-        objective=score_cover(instance, cover),
+        objective=_score(instance, cover, degree),
         lower_bound=lower,
     )
 
@@ -367,7 +366,7 @@ def enumerate_exact(instance: Instance) -> IpSolution:
     assert best_choice is not None
     cover = make_cover(instance, [pair for pair, _ in best_choice])
     degree = gvs_max_degree(instance, cover)
-    value = score_cover(instance, cover)
+    value = _score(instance, cover, degree)
     if value != best:
         raise ModelError("inline degree count disagrees with the degree table")
     return IpSolution(
@@ -380,7 +379,7 @@ def enumerate_exact(instance: Instance) -> IpSolution:
     )
 
 
-def _coef_text(value: Fraction) -> str:
+def _coef_text(value: int | Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return repr(float(value))
@@ -390,7 +389,7 @@ def export_lp(model: IpModel) -> str:
     """Render the program in CPLEX LP format (for external solvers)."""
     names = model.names
 
-    def terms(coeffs: Sequence[tuple[int, Fraction]]) -> str:
+    def terms(coeffs: Sequence[tuple[int, int | Fraction]]) -> str:
         # positive terms first so rows read "degree stuff - obj <= rhs"
         ordered = [t for t in coeffs if t[1] > 0] + [t for t in coeffs if t[1] < 0]
         parts = []
@@ -419,8 +418,7 @@ def export_lp(model: IpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class _CoverIndex:
+class _CoverIndex(NamedTuple):
     """The covering relation of one instance, integer-indexed for greedy.
 
     Pair ids follow sorted pair order, so a sorted list of ids is a sorted
@@ -490,8 +488,7 @@ def greedy_cover(instance: Instance, seed: int | random.Random = 0) -> Cover:
     return _greedy_from_index(instance, _cover_index(instance), rng)
 
 
-@dataclass(frozen=True)
-class GreedySummary:
+class GreedySummary(NamedTuple):
     """Median depth and substitution count over a batch of seeded runs."""
 
     depths: tuple[int, ...]
@@ -513,7 +510,7 @@ def greedy_batch(
     depths, subs = [], []
     for seed in seeds:
         cover = _greedy_from_index(instance, index, random.Random(seed))
-        depths.append(gvs_max_degree(instance, cover) + 2)
+        depths.append(_max_degree(instance, cover) + 2)
         subs.append(cover.num_substitutions)
     return GreedySummary(tuple(depths), tuple(subs))
 

@@ -20,30 +20,34 @@ Two pair sets drive everything downstream:
 A pair is a `Pair`: a tuple of two distinct variable indices, smaller
 first.  Every pair this module returns, in a set, a `Covering` or a
 `covering_graph` key, has that form, so pairs compare, hash and sort alike
-everywhere downstream without conversion.
+everywhere downstream without conversion.  Both pair sets and the coverings
+come from one pass over the clauses, memoized per instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cnf import DegenerateClauseError, Instance
-from .pubo import InteractionGraph, Polynomial, VarId
+from .graph import InteractionGraph, VarId
+
+if TYPE_CHECKING:  # polynomials load only where one is built
+    from .pubo import Polynomial
 
 Pair = tuple[int, int]  # (i, j) with i < j
 
 
-def literal_factor(lit: int) -> Polynomial:
-    """Indicator that the literal is false: (1 - x) for x, x for its negation."""
-    x = Polynomial.variable(VarId.x(abs(lit)))
-    return 1 - x if lit > 0 else x
-
-
 def clause_violation(clause: tuple[int, ...]) -> Polynomial:
+    """Product of the literals' falsity indicators, (1 - x) for x and x for
+    its negation."""
+    from .pubo import Polynomial
+
     out = Polynomial.constant(1)
     for lit in clause:
-        out = out * literal_factor(lit)
+        x = Polynomial.variable(VarId.x(abs(lit)))
+        out = out * (1 - x if lit > 0 else x)
     return out
 
 
@@ -53,6 +57,8 @@ def product_objective(instance: Instance) -> Polynomial:
     The minimum over 0/1 assignments is 0 exactly when the instance is
     satisfiable.
     """
+    from .pubo import Polynomial
+
     _require_three_sat(instance)
     total = Polynomial.zero()
     for clause in instance.clauses:
@@ -60,29 +66,7 @@ def product_objective(instance: Instance) -> Polynomial:
     return total
 
 
-def quadratic_pairs(instance: Instance) -> frozenset[Pair]:
-    """Variable pairs carrying a degree-2 term in some clause expansion."""
-    _require_three_sat(instance)
-    pairs: set[Pair] = set()
-    for clause in instance.clauses:
-        for a, b in combinations(clause, 2):
-            third = next(l for l in clause if l not in (a, b))
-            if third > 0:
-                pairs.add(tuple(sorted((abs(a), abs(b)))))
-    return frozenset(pairs)
-
-
-def candidate_pairs(instance: Instance) -> frozenset[Pair]:
-    """All pairs of variables that share a clause."""
-    _require_three_sat(instance)
-    pairs: set[Pair] = set()
-    for c in range(instance.num_clauses):
-        pairs.update(combinations(sorted(instance.clause_vars(c)), 2))
-    return frozenset(pairs)
-
-
-@dataclass(frozen=True)
-class Covering:
+class Covering(NamedTuple):
     """Substituting `pair` inside clause `clause` leaves `free` untouched."""
 
     clause: int
@@ -90,16 +74,42 @@ class Covering:
     free: int
 
 
-def coverings(instance: Instance) -> tuple[Covering, ...]:
-    """Every (clause, pair within it, leftover variable) option, in clause order."""
+@lru_cache(maxsize=8)  # a command works on one instance at a time
+def _pair_sets(
+    instance: Instance,
+) -> tuple[frozenset[Pair], frozenset[Pair], tuple[Covering, ...]]:
+    """Candidate pairs, quadratic pairs and coverings, from one pass over
+    the clauses.  Every caller shares the memoized values: keep them immutable."""
     _require_three_sat(instance)
-    out = []
-    for c in range(instance.num_clauses):
-        vs = sorted(instance.clause_vars(c))
+    quadratic: set[Pair] = set()
+    covs = []
+    for c, clause in enumerate(instance.clauses):
+        positive = {abs(lit): lit > 0 for lit in clause}
+        vs = sorted(positive)
         for pair in combinations(vs, 2):
             free = next(v for v in vs if v not in pair)
-            out.append(Covering(c, pair, free))
-    return tuple(out)
+            covs.append(Covering(c, pair, free))
+            # the pair's product keeps a degree-2 term exactly when the
+            # remaining literal is positive
+            if positive[free]:
+                quadratic.add(pair)
+    candidates = frozenset(cov.pair for cov in covs)
+    return candidates, frozenset(quadratic), tuple(covs)
+
+
+def quadratic_pairs(instance: Instance) -> frozenset[Pair]:
+    """Variable pairs carrying a degree-2 term in some clause expansion."""
+    return _pair_sets(instance)[1]
+
+
+def candidate_pairs(instance: Instance) -> frozenset[Pair]:
+    """All pairs of variables that share a clause."""
+    return _pair_sets(instance)[0]
+
+
+def coverings(instance: Instance) -> tuple[Covering, ...]:
+    """Every (clause, pair within it, leftover variable) option, in clause order."""
+    return _pair_sets(instance)[2]
 
 
 def covering_graph(instance: Instance) -> dict[Pair, tuple[int, ...]]:

@@ -13,108 +13,26 @@ this module.
 
 The interaction graph of a polynomial has one vertex per variable that occurs
 in it and one (hyper)edge per distinct monomial support of size >= 2.  Only
-supports matter: scaling coefficients never changes the graph.
+supports matter: scaling coefficients never changes the graph.  `VarId`,
+`InteractionGraph` and `graph_union` live in `qdepth.graph`, which needs no
+exact arithmetic, and are re-exported here.  No command of the command line
+builds a polynomial, so none loads this module; tests and oracles do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
+
+from .graph import (  # noqa: F401 - re-exported
+    InteractionGraph,
+    NotSimpleGraphError,
+    UnknownVertexError,
+    VarId,
+    graph_union,
+)
 
 Rational = int | Fraction
-
-# Kind ranks are chosen so that sorting VarIds agrees with the alphabetical
-# order of their rendered names: d... < u... < x... < z...
-_KIND_SLACK = 0
-_KIND_SUB = 1
-_KIND_PROBLEM = 2
-_KIND_CLAUSE = 3
-
-_KIND_LABELS = {
-    _KIND_SLACK: "slack",
-    _KIND_SUB: "sub",
-    _KIND_PROBLEM: "problem",
-    _KIND_CLAUSE: "clause-indicator",
-}
-
-
-@dataclass(frozen=True, order=True)
-class VarId:
-    """Identifier for a polynomial variable.
-
-    kind/key pairs:
-      problem variable x_i          -> (PROBLEM, (i,))
-      clause indicator z_c          -> (CLAUSE, (c,))   c is 0-based
-      clause slack d{c+1}_k         -> (SLACK, (0, c, k))
-      substitution u over indices   -> (SUB, indices)
-      substitution slack            -> (SLACK, (1, *indices, k))
-
-    The derived total order (kind, key) is the canonical variable order used
-    for monomial storage and term printing.
-    """
-
-    kind: int
-    key: tuple[int, ...]
-
-    @staticmethod
-    def x(i: int) -> "VarId":
-        if i < 1:
-            raise ValueError(f"problem variable index must be >= 1, got {i}")
-        return VarId(_KIND_PROBLEM, (i,))
-
-    @staticmethod
-    def z(clause: int) -> "VarId":
-        if clause < 0:
-            raise ValueError(f"clause index must be >= 0, got {clause}")
-        return VarId(_KIND_CLAUSE, (clause,))
-
-    @staticmethod
-    def clause_slack(clause: int, k: int) -> "VarId":
-        if clause < 0 or k not in (1, 2):
-            raise ValueError(f"bad clause slack ({clause}, {k})")
-        return VarId(_KIND_SLACK, (0, clause, k))
-
-    @staticmethod
-    def sub(indices: Iterable[int]) -> "VarId":
-        idx = tuple(sorted(indices))
-        if len(idx) < 2 or len(set(idx)) != len(idx) or idx[0] < 1:
-            raise ValueError(f"substitution needs >= 2 distinct indices, got {idx}")
-        return VarId(_KIND_SUB, idx)
-
-    @staticmethod
-    def sub_slack(indices: Iterable[int], k: int) -> "VarId":
-        idx = tuple(sorted(indices))
-        if len(idx) < 2 or k < 1:
-            raise ValueError(f"bad substitution slack ({idx}, {k})")
-        return VarId(_KIND_SLACK, (1,) + idx + (k,))
-
-    @property
-    def name(self) -> str:
-        if self.kind == _KIND_PROBLEM:
-            return f"x{self.key[0]}"
-        if self.kind == _KIND_CLAUSE:
-            return f"z{self.key[0] + 1}"
-        if self.kind == _KIND_SUB:
-            return "u" + _join_indices(self.key)
-        # slack
-        if self.key[0] == 0:
-            _, clause, k = self.key
-            return f"d{clause + 1}_{k}"
-        indices, k = self.key[1:-1], self.key[-1]
-        return "du" + _join_indices(indices) + f"_{k}"
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VarId({self.name})"
-
-
-def _join_indices(indices: tuple[int, ...]) -> str:
-    # Single digits are concatenated (u13); anything wider is underscored
-    # (u10_11) so no two index tuples render alike.
-    if all(i <= 9 for i in indices):
-        return "".join(str(i) for i in indices)
-    return "_".join(str(i) for i in indices)
-
 
 Monomial = tuple[VarId, ...]
 
@@ -180,11 +98,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def sorted_terms(self) -> Iterator[tuple[Monomial, Fraction]]:
-        """Terms in canonical print order: by support size, then support."""
-        for support in sorted(self._terms, key=lambda s: (len(s), s)):
-            yield support, self._terms[support]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -270,7 +183,9 @@ class Polynomial:
         if not self._terms:
             return "0"
         parts: list[str] = []
-        for support, coeff in self.sorted_terms():
+        # canonical print order: by support size, then support
+        for support in sorted(self._terms, key=lambda s: (len(s), s)):
+            coeff = self._terms[support]
             sign = "-" if coeff < 0 else "+"
             mag = -coeff if coeff < 0 else coeff
             if not support:
@@ -316,42 +231,6 @@ class MissingVariableError(KeyError):
     """An evaluation point left one of the polynomial's variables unbound."""
 
 
-class UnknownVertexError(KeyError):
-    """A degree query named a vertex the graph does not contain."""
-
-
-class NotSimpleGraphError(ValueError):
-    """An operation that needs a simple graph was given hyperedges."""
-
-
-@dataclass(frozen=True)
-class InteractionGraph:
-    """Vertices and distinct (hyper)edges derived from monomial supports."""
-
-    vertices: frozenset[VarId]
-    edges: frozenset[frozenset[VarId]]
-
-    def degree(self, v: VarId) -> int:
-        if v not in self.vertices:
-            raise UnknownVertexError(f"unknown vertex {v!r}")
-        return sum(1 for e in self.edges if v in e)
-
-    def degrees(self) -> dict[VarId, int]:
-        out = {v: 0 for v in self.vertices}
-        for e in self.edges:
-            for v in e:
-                out[v] += 1
-        return out
-
-    def max_degree(self) -> int:
-        if not self.vertices:
-            return 0
-        return max(self.degrees().values())
-
-    def is_simple(self) -> bool:
-        return all(len(e) == 2 for e in self.edges)
-
-
 def interaction_graph(p: Polynomial) -> InteractionGraph:
     """One vertex per occurring variable, one edge per support of size >= 2.
 
@@ -363,14 +242,4 @@ def interaction_graph(p: Polynomial) -> InteractionGraph:
         vertices.update(support)
         if len(support) >= 2:
             edges.add(frozenset(support))
-    return InteractionGraph(frozenset(vertices), frozenset(edges))
-
-
-def graph_union(graphs: Iterable[InteractionGraph]) -> InteractionGraph:
-    """Union of vertex and edge sets across several interaction graphs."""
-    vertices: set[VarId] = set()
-    edges: set[frozenset[VarId]] = set()
-    for g in graphs:
-        vertices |= g.vertices
-        edges |= g.edges
     return InteractionGraph(frozenset(vertices), frozenset(edges))

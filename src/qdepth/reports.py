@@ -10,11 +10,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class DepthReport:
+class DepthReport(NamedTuple):
     """Depth facts for one formulation of one instance.
 
     depth_upper comes from the scheduling bound for the formulation's
@@ -36,7 +35,7 @@ class DepthReport:
     wall_time: float | None = None
 
     def with_wall_time(self, seconds: float) -> "DepthReport":
-        return replace(self, wall_time=seconds)
+        return self._replace(wall_time=seconds)
 
     def to_dict(self) -> dict:
         d = {
@@ -57,8 +56,7 @@ class DepthReport:
         return d
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     """One instance's row in the linear-vs-substituted comparison table."""
 
     name: str

@@ -17,20 +17,16 @@ never counted toward depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cnf import Instance
+from .graph import InteractionGraph, NotSimpleGraphError, VarId
 from .product import native3_hypergraph
-from .pubo import (
-    InteractionGraph,
-    Monomial,
-    NotSimpleGraphError,
-    Polynomial,
-    VarId,
-    interaction_graph,
-)
 from .reports import DepthReport
+
+if TYPE_CHECKING:  # polynomials load only where one is built
+    from .pubo import Monomial, Polynomial
 
 Edge = frozenset
 
@@ -234,8 +230,7 @@ def color_hyperedges(graph: InteractionGraph) -> dict[Edge, int]:
     return dict(zip(edges, assigned))
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """Layered gate plan: cost layers, then one mixer layer.
 
     Each cost layer is a tuple of mutually qubit-disjoint interaction terms.
@@ -265,6 +260,8 @@ def build_schedule(
     supplied coloring must cover every term of size two or more exactly;
     anything else raises ImproperColoringError.
     """
+    from .pubo import interaction_graph
+
     multi = sorted(s for s in poly.supports() if len(s) >= 2)
     singles = tuple(sorted(s for s in poly.supports() if len(s) == 1))
 

@@ -52,6 +52,17 @@ heavy = ("numpy", "scipy", "scipy.optimize", "scipy.sparse",
 print(rc, *(m for m in heavy if m in sys.modules), file=sys.stderr)
 """
 
+# runs qdepth.cli.main on argv, then reports on stderr which of the modules
+# only polynomial algebra, dataclass records or exact fractions need got
+# imported along the way
+ALGEBRA_PROBE = """
+import sys
+from qdepth.cli import main
+rc = main(sys.argv[1:])
+algebra = ("dataclasses", "qdepth.pubo", "fractions")
+print(rc, *(m for m in algebra if m in sys.modules), file=sys.stderr)
+"""
+
 # runs qdepth.cli.main on argv, then reports on stderr which qdepth modules
 # got imported along the way
 MODULE_PROBE = """
@@ -365,6 +376,32 @@ class TestImportBoundary:
         assert rc == "0" and proc.stdout
         assert "qdepth.cnf" in loaded
         assert not {f"qdepth.{m}" for m in absent} & set(loaded)
+
+    @pytest.mark.parametrize("argv,loaded", [
+        (("inspect", "example1"), []),
+        (("analyze", "example1", "--method", "linear"), []),
+        (("analyze", "example1", "--method", "native3"), []),
+        (("histogram", "example1", "--method", "native3"), []),
+        (("analyze", "example1", "--method", "gvs-greedy"), ["fractions"]),
+        (("analyze", "example1", "--method", "gvs-ip"), ["fractions"]),
+        (("export", "example1"), ["fractions"]),
+        (("compare", "example1", "--seeds", "2"), ["fractions"]),
+    ], ids=["inspect", "linear", "native3", "histogram-native3", "gvs-greedy",
+            "gvs-ip", "export", "compare"])
+    def test_no_command_loads_polynomial_algebra(self, argv, loaded):
+        # no command builds a polynomial or a dataclass; fractions come in
+        # with the substitution optimizer only
+        proc = run_python("-c", ALGEBRA_PROBE, *argv)
+        rc, *found = proc.stderr.decode().split()
+        assert rc == "0" and proc.stdout
+        assert found == loaded
+
+    def test_cli_import_loads_no_polynomial_algebra(self):
+        proc = run_python("-c", "import sys, qdepth.cli; print(*(m for m in "
+                          "('dataclasses', 'qdepth.pubo', 'fractions') "
+                          "if m in sys.modules))")
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode().split() == []
 
     @pytest.mark.parametrize("statement,expected", [
         ("import qdepth", []),

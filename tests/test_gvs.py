@@ -88,7 +88,7 @@ class TestSubstitution:
         for _ in range(10):
             (clause,) = random_3sat_instance(rng, 5, 1)
             vs = sorted(abs(l) for l in clause)
-            pair = tuple(rng.sample(vs, 2))
+            pair = tuple(sorted(rng.sample(vs, 2)))
             original = substitute_clause(clause, pair)  # noqa: F841
             from qdepth.product import clause_violation
 
@@ -330,17 +330,30 @@ class TestEdgeCounts:
             gvs_derived_graph(inst, cover).edges)
 
 
+class TestMaxDegree:
+    @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(instance_and_cover())
+    def test_equals_the_table_maximum(self, case):
+        # Δ comes from integer-keyed counts, never from the VarId table
+        inst, cover = case
+        assert gvs_max_degree(inst, cover) == max(
+            gvs_degree_table(inst, cover).values())
+
+
 class TestForeignCover:
     """A cover made for another instance is refused, with make_cover's
     messages, by every function that takes one."""
 
-    @pytest.mark.parametrize("fn", [gvs_report, gvs_degree_table, gvs_addends])
+    @pytest.mark.parametrize("fn", [gvs_report, gvs_degree_table, gvs_addends,
+                                    gvs_max_degree])
     def test_wrong_clause_count(self, fn):
         inst = make_instance(example1().clauses[:3])
         with pytest.raises(InvalidCoverError, match="4 entries for 3 clauses"):
             fn(inst, example1_cover())
 
-    @pytest.mark.parametrize("fn", [gvs_report, gvs_degree_table, gvs_addends])
+    @pytest.mark.parametrize("fn", [gvs_report, gvs_degree_table, gvs_addends,
+                                    gvs_max_degree])
     def test_pair_outside_its_clause(self, fn):
         # example1 with its first and third clauses swapped: (1, 3) is no
         # longer within clause #0

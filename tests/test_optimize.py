@@ -4,6 +4,7 @@ import random
 import sys
 import tempfile
 import types
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, chain
 
@@ -17,7 +18,7 @@ from qdepth.product import (
     coverings,
     quadratic_pairs,
 )
-from qdepth import optimize
+from qdepth import gvs, optimize
 from qdepth.optimize import (
     IpSolution,
     ModelError,
@@ -159,6 +160,14 @@ class TestModel:
         model = build_ip(example1())
         coeffs, sense, rhs = row_by_name(model, "link_1_2_c0")
         assert (coeffs, sense, rhs) == ({"z_c0_1_2": 1, "y_1_2": -1}, "<=", 0)
+
+    def test_rows_hold_ints(self):
+        # only the objective's tie-break needs exact fractions
+        model = build_ip(example1())
+        for _, coeffs, _, rhs in model.rows:
+            assert type(rhs) is int
+            assert all(type(j) is type(v) is int for j, v in coeffs)
+        assert all(type(v) is Fraction for v in model.objective)
 
     def test_objective_coefficients(self):
         model = build_ip(example1())
@@ -613,3 +622,22 @@ class TestScore:
         inst = example1()
         sol = enumerate_exact(inst)
         assert score_cover(inst, sol.cover) == sol.objective
+
+
+class TestWorkPerCover:
+    """A cover fresh from make_cover gets its degrees counted once and is not
+    checked against the instance a second time."""
+
+    def test_degrees_counted_once_per_cover(self, monkeypatch):
+        calls = Counter()
+        for name in ("_degree_counts", "_validate"):
+            def counted(*args, _real=getattr(gvs, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(gvs, name, counted)
+        assert solve_ip_exact(example1()).max_degree == 8
+        assert calls == {"_degree_counts": 1}
+        calls.clear()
+        greedy_batch(example1(), range(5))
+        assert calls == {"_degree_counts": 5}

@@ -168,6 +168,44 @@ class TestPairContract:
             assert set(covering_graph(inst)) == candidate_pairs(inst)
 
 
+class TestPairSetMemo:
+    """The pair sets are computed once per instance and shared, so what is
+    shared must be equal for equal instances and impossible to change."""
+
+    def test_equal_instances_get_equal_values(self):
+        rng = random.Random(43)
+        for _ in range(20):
+            clauses = random_3sat_instance(rng, 7, 9)
+            a = make_instance(clauses, num_vars=7)
+            b = make_instance(list(clauses), num_vars=7)
+            assert a == b and a is not b
+            for fn in (candidate_pairs, quadratic_pairs, coverings):
+                assert fn(a) == fn(b)
+            assert coverings(a) is coverings(b)  # one pass, shared
+
+    def test_shared_values_cannot_be_changed(self):
+        inst = example1()
+        with pytest.raises(AttributeError):
+            candidate_pairs(inst).add((1, 6))
+        with pytest.raises(AttributeError):
+            quadratic_pairs(inst).discard((1, 2))
+        covs = coverings(inst)
+        with pytest.raises(TypeError):
+            covs[0] = covs[1]
+        with pytest.raises(AttributeError):
+            covs[0].free = 9
+        # covering_graph builds its dict afresh; emptying one leaves the next
+        covering_graph(inst).clear()
+        assert len(covering_graph(inst)) == 9
+        assert len(candidate_pairs(inst)) == 9 and len(coverings(inst)) == 12
+
+    def test_rejection_is_not_remembered(self):
+        inst = make_instance([(1, 2, 3), (-1, 4)], allow_degenerate=True)
+        for _ in range(2):
+            with pytest.raises(DegenerateClauseError):
+                candidate_pairs(inst)
+
+
 class TestNative3:
     def test_example1_hypergraph(self):
         h = native3_hypergraph(example1())
