@@ -18,9 +18,10 @@ given to -o are written atomically (temp file plus rename).
 
 Each command imports only the modules its path runs.  Parsing the command
 line loads `cnf` alone; `inspect` adds `product` and `graph`; the `linear`
-and `native3` methods add `reports` and `linear` or `schedule`; only
-`gvs-greedy`, `gvs-ip`, `compare` and `export` load `optimize`, `gvs` and
-`fractions`.  No command builds a polynomial, so none loads `pubo`.
+and `native3` methods add `reports` and `linear` or `schedule`; `gvs-greedy`,
+`gvs-ip` and `export` add `optimize`, `gvs` and `fractions`, and `compare`
+adds those and `linear`.  `json` and `csv` load only for their formats, and
+no command builds a polynomial, so none loads `pubo`.
 """
 
 from __future__ import annotations
@@ -192,10 +193,6 @@ def write_out(text: str, output: Path | None) -> None:
         raise
 
 
-def _named_degrees(table) -> tuple[tuple[str, int], ...]:
-    return tuple((v.name, d) for v, d in sorted(table.items()))
-
-
 def run_method(inst: Instance, args):
     """The one dispatch over METHODS, importing only what the method runs.
 
@@ -220,7 +217,7 @@ def run_method(inst: Instance, args):
         table = native3_hypergraph(inst).degrees()
         build = partial(native3_report, inst)
     else:
-        from .gvs import gvs_degree_table, gvs_report
+        from .gvs import cover_free_variables, gvs_degree_table, gvs_report
 
         if args.method == "gvs-greedy":
             from .optimize import greedy_cover
@@ -242,11 +239,14 @@ def run_method(inst: Instance, args):
             if sol.status != "optimal":
                 exit_code = EXIT_BUDGET
         fields["formulation"] = args.method
-        table = gvs_degree_table(inst, cover)
-        build = partial(gvs_report, inst, cover)
+        free = cover_free_variables(inst, cover)
+        table = gvs_degree_table(inst, cover, free)
+        build = partial(gvs_report, inst, cover,
+                        max(table.values(), default=0), free)
 
     def report():
-        return build()._replace(degrees=_named_degrees(table), **fields)
+        degrees = tuple((v.name, d) for v, d in sorted(table.items()))
+        return build()._replace(degrees=degrees, **fields)
 
     return table, report, exit_code
 
@@ -443,6 +443,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

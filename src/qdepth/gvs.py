@@ -56,7 +56,6 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .cnf import Instance
 from .graph import InteractionGraph, VarId, graph_union
-from .linear import checked_penalty
 from .product import Pair, clause_violation, quadratic_pairs
 from .reports import DepthReport
 
@@ -153,6 +152,8 @@ def substitution_penalty(pair: Pair) -> Polynomial:
 
 def gvs_addends(instance: Instance, cover: Cover, penalty=None) -> tuple[Polynomial, ...]:
     """Substituted clauses (in clause order) then penalty blocks (sorted pairs)."""
+    from .linear import checked_penalty
+
     _validate(instance, cover)
     lam = checked_penalty(instance, penalty)
     out = [
@@ -188,14 +189,15 @@ def _validate(instance: Instance, cover: Cover) -> None:
     make_cover(instance, cover.pairs)
 
 
-def _degree_counts(instance: Instance, cover: Cover) -> tuple[Counter, Counter]:
+def _degree_counts(instance: Instance, cover: Cover, free=None) -> tuple[Counter, Counter]:
     """Each problem variable's degree and each used pair's clause count,
-    for a cover already checked against the instance."""
+    for a cover already checked against the instance (`free`: its
+    `cover_free_variables`, if the caller holds them)."""
     P = quadratic_pairs(instance)
     cover_counts = Counter(cover.pairs)
     # per variable: its free occurrences, 4 per used pair holding it (3 if
     # that pair is also quadratic), plus 1 per quadratic pair holding it
-    degrees = Counter(cover_free_variables(instance, cover))
+    degrees = Counter(free or cover_free_variables(instance, cover))
     for s in cover_counts:
         for v in s:
             degrees[v] += 3 if s in P else 4
@@ -213,10 +215,12 @@ def _max_degree(instance: Instance, cover: Cover) -> int:
                default=0)
 
 
-def gvs_degree_table(instance: Instance, cover: Cover) -> dict[VarId, int]:
-    """Closed-form degrees for every vertex of the substituted model."""
+def gvs_degree_table(instance: Instance, cover: Cover,
+                     free=None) -> dict[VarId, int]:
+    """Closed-form degrees for every vertex of the substituted model
+    (`free`: the cover's `cover_free_variables`, if the caller holds them)."""
     _validate(instance, cover)
-    degrees, cover_counts = _degree_counts(instance, cover)
+    degrees, cover_counts = _degree_counts(instance, cover, free)
     table = {VarId.x(v): degrees[v] for v in instance.used_variables()}
     for pair in cover.used:
         table[VarId.sub(pair)] = 5 + cover_counts[pair]
@@ -231,12 +235,15 @@ def gvs_max_degree(instance: Instance, cover: Cover) -> int:
     return _max_degree(instance, cover)
 
 
-def gvs_report(instance: Instance, cover: Cover) -> DepthReport:
+def gvs_report(instance: Instance, cover: Cover,
+               delta: int | None = None, free=None) -> DepthReport:
+    """Δ and free variables come in from a caller that made the cover's
+    degree table; without them the cover is checked here."""
+    delta = gvs_max_degree(instance, cover) if delta is None else delta
     used_vars = instance.used_variables()
     num_subs = cover.num_substitutions
-    delta = gvs_max_degree(instance, cover)
     used = set(cover.pairs)
-    free_keys = set(zip(cover.pairs, cover_free_variables(instance, cover)))
+    free_keys = set(zip(cover.pairs, free or cover_free_variables(instance, cover)))
     num_edges = (len(quadratic_pairs(instance) | used) + 9 * num_subs
                  + len(free_keys))
     return DepthReport(

@@ -42,7 +42,6 @@ import importlib.util
 import math
 import os
 import random
-import statistics
 import sys
 import tempfile
 import time
@@ -56,7 +55,6 @@ from typing import Iterable, NamedTuple, Sequence
 from . import DEFAULT_BUDGET_SECS
 from .cnf import Instance
 from .gvs import Cover, _max_degree, gvs_max_degree, make_cover
-from .linear import linear_max_degree
 from .product import (
     Covering,
     Pair,
@@ -496,11 +494,11 @@ class GreedySummary(NamedTuple):
 
     @property
     def median_depth(self) -> int:
-        return statistics.median_low(self.depths)
+        return sorted(self.depths)[(len(self.depths) - 1) // 2]
 
     @property
     def median_substitutions(self) -> int:
-        return statistics.median_low(self.substitutions)
+        return sorted(self.substitutions)[(len(self.substitutions) - 1) // 2]
 
 
 def greedy_batch(
@@ -523,6 +521,8 @@ def compare_instance(
     timings: bool = False,
 ) -> ComparisonRow:
     """One table row: dualized-linear depth vs exact vs greedy substitution."""
+    from .linear import linear_max_degree
+
     started = time.perf_counter()
     lin_depth = linear_max_degree(instance) + 2
     ip = solve_ip_exact(instance, budget_secs)

@@ -7,9 +7,6 @@ Running the same analysis twice must produce byte-identical documents.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from typing import NamedTuple
 
 
@@ -88,18 +85,25 @@ class ComparisonRow(NamedTuple):
 
 
 def reports_to_json(reports, **extra) -> str:
+    import json
+
     doc = dict(extra)
     doc["reports"] = [r.to_dict() for r in reports]
     return json.dumps(doc, indent=2) + "\n"
 
 
 def rows_to_json(rows, **extra) -> str:
+    import json
+
     doc = dict(extra)
     doc["rows"] = [r.to_dict() for r in rows]
     return json.dumps(doc, indent=2) + "\n"
 
 
 def rows_to_csv(rows) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     fields = [
         "name",

@@ -162,53 +162,42 @@ def _greedy_conflict_coloring(edges: list[Edge], adj) -> list[int]:
     return assigned
 
 
-def _max_clique_size(n: int, adj) -> int:
-    best = 1 if n else 0
-    order = sorted(range(n), key=lambda i: -len(adj[i]))
-
-    def extend(clique: list[int], candidates: set[int]) -> None:
-        nonlocal best
-        best = max(best, len(clique))
-        if len(clique) + len(candidates) <= best:
-            return
-        for v in sorted(candidates):
-            extend(clique + [v], candidates & adj[v])
-
-    extend([], set(order))
+# module-level recursion: a closure calling itself is a reference cycle
+def _max_clique_size(size: int, candidates: set[int], adj, best: int) -> int:
+    best = max(best, size)
+    if size + len(candidates) <= best:
+        return best
+    for v in sorted(candidates):
+        best = _max_clique_size(size + 1, candidates & adj[v], adj, best)
     return best
+
+
+def _place(pos: int, highest: int, k: int, order, adj, assigned) -> bool:
+    if pos == len(order):
+        return True
+    i = order[pos]
+    taken = {assigned[j] for j in adj[i] if assigned[j] >= 0}
+    # allowing one brand-new color per step kills permutation symmetry
+    for col in range(min(highest + 2, k)):
+        if col in taken:
+            continue
+        assigned[i] = col
+        if _place(pos + 1, max(highest, col), k, order, adj, assigned):
+            return True
+        assigned[i] = -1
+    return False
 
 
 def _exact_conflict_coloring(edges: list[Edge], adj) -> list[int]:
     n = len(edges)
     greedy = _greedy_conflict_coloring(edges, adj)
     upper = max(greedy) + 1 if n else 0
-    lower = _max_clique_size(n, adj)
+    lower = _max_clique_size(0, set(range(n)), adj, 1 if n else 0)
     order = sorted(range(n), key=lambda i: (-len(adj[i]), i))
-
-    def try_k(k: int) -> list[int] | None:
-        assigned = [-1] * n
-
-        def place(pos: int, highest: int) -> bool:
-            if pos == n:
-                return True
-            i = order[pos]
-            taken = {assigned[j] for j in adj[i] if assigned[j] >= 0}
-            # allowing one brand-new color per step kills permutation symmetry
-            for col in range(min(highest + 2, k)):
-                if col in taken:
-                    continue
-                assigned[i] = col
-                if place(pos + 1, max(highest, col)):
-                    return True
-                assigned[i] = -1
-            return False
-
-        return assigned if place(0, -1) else None
-
     for k in range(lower, upper):
-        found = try_k(k)
-        if found is not None:
-            return found
+        assigned = [-1] * n
+        if _place(0, -1, k, order, adj, assigned):
+            return assigned
     return greedy
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -7,8 +8,9 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from qdepth import gvs
 from qdepth.cli import main
-from qdepth.cnf import example1, to_dimacs
+from qdepth.cnf import example1, make_instance, to_dimacs
 
 from helpers import random_3sat_instance
 import random
@@ -63,14 +65,15 @@ algebra = ("dataclasses", "qdepth.pubo", "fractions")
 print(rc, *(m for m in algebra if m in sys.modules), file=sys.stderr)
 """
 
-# runs qdepth.cli.main on argv, then reports on stderr which qdepth modules
-# got imported along the way
+# runs qdepth.cli.main on argv, then reports on stderr which qdepth modules,
+# and which of the standard modules only some paths need, got imported along
+# the way
 MODULE_PROBE = """
 import sys
 from qdepth.cli import main
 rc = main(sys.argv[1:])
-print(rc, *sorted(m for m in sys.modules if m.startswith("qdepth.")),
-      file=sys.stderr)
+print(rc, *sorted(m for m in sys.modules if m.startswith("qdepth.")
+                  or m in ("statistics", "json", "csv")), file=sys.stderr)
 """
 
 
@@ -366,16 +369,35 @@ class TestImportBoundary:
 
     @pytest.mark.parametrize("argv,absent", [
         (("inspect", "example1"),
-         {"linear", "gvs", "optimize", "reports", "schedule"}),
-        (("analyze", "example1", "--method", "linear"), {"gvs", "optimize"}),
-        (("analyze", "example1", "--method", "native3"), {"gvs", "optimize"}),
-    ], ids=["inspect", "linear", "native3"])
+         {"qdepth.linear", "qdepth.gvs", "qdepth.optimize", "qdepth.reports",
+          "qdepth.schedule"}),
+        (("analyze", "example1", "--method", "linear"),
+         {"qdepth.gvs", "qdepth.optimize"}),
+        (("analyze", "example1", "--method", "native3"),
+         {"qdepth.gvs", "qdepth.optimize"}),
+        (("analyze", "example1", "--method", "gvs-greedy"),
+         {"qdepth.linear", "qdepth.schedule", "statistics"}),
+        (("analyze", "example1", "--method", "gvs-ip"),
+         {"qdepth.linear", "qdepth.schedule", "statistics"}),
+        (("export", "example1"),
+         {"qdepth.linear", "qdepth.schedule", "statistics"}),
+    ], ids=["inspect", "linear", "native3", "gvs-greedy", "gvs-ip", "export"])
     def test_command_loads_only_the_modules_it_runs(self, argv, absent):
         proc = run_python("-c", MODULE_PROBE, *argv)
         rc, *loaded = proc.stderr.decode().split()
         assert rc == "0" and proc.stdout
         assert "qdepth.cnf" in loaded
-        assert not {f"qdepth.{m}" for m in absent} & set(loaded)
+        assert not absent & set(loaded)
+
+    @pytest.mark.parametrize("fmt,loaded", [
+        ("text", set()), ("json", {"json"}),
+    ])
+    def test_renderers_load_only_their_format(self, fmt, loaded):
+        proc = run_python("-c", MODULE_PROBE, "analyze", "example1",
+                          "--method", "linear", "--format", fmt)
+        rc, *found = proc.stderr.decode().split()
+        assert rc == "0" and proc.stdout
+        assert {"json", "csv"} & set(found) == loaded
 
     @pytest.mark.parametrize("argv,loaded", [
         (("inspect", "example1"), []),
@@ -428,6 +450,94 @@ class TestImportBoundary:
         assert proc.returncode == 0, proc.stderr.decode()
         expected = ["8", "0"] if first == "solve" else ["0", "8"]
         assert proc.stdout.decode().split() == expected
+
+
+class TestWorkPerCommand:
+    """The CLI counts a gvs cover's degrees once for its table and report."""
+
+    @pytest.mark.parametrize("method,expected", [
+        ("gvs-greedy", {"_degree_counts": 1, "_validate": 1}),
+        # the solver's exact re-score counts the cover once more
+        ("gvs-ip", {"_degree_counts": 2, "_validate": 1}),
+    ])
+    def test_cover_counted_once(self, method, expected, monkeypatch, capsys):
+        calls = {}
+        for name in expected:
+            def counted(*args, _real=getattr(gvs, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args)
+
+            monkeypatch.setattr(gvs, name, counted)
+        assert main(["analyze", "example1", "--method", method]) == 0
+        assert "max degree:    8" in capsys.readouterr().out
+        assert calls == expected
+
+
+COMMANDS = [
+    ("inspect",),
+    ("analyze", "--method", "linear"),
+    ("analyze", "--method", "native3"),
+    ("analyze", "--method", "gvs-greedy"),
+    ("analyze", "--method", "gvs-ip", "--format", "json"),
+    ("export",),
+    ("compare", "--seeds", "20", "--format", "csv"),
+    ("histogram", "--method", "gvs-ip"),
+]
+
+
+class TestCollectorPolicy:
+    """`python -m qdepth` runs with the cyclic collector off, which is sound
+    only while a command makes no cyclic garbage that grows with the input;
+    `main` itself leaves the collector as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_collector_state(self, enabled, capsys):
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            assert main(["analyze", "example1", "--method", "gvs-greedy"]) == 0
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+
+    def test_entry_runs_main_with_collector_off(self, monkeypatch):
+        from qdepth import __main__ as entry, cli
+
+        seen = []
+        monkeypatch.setattr(cli, "main", lambda: seen.append(gc.isenabled()) or 65)
+        was = gc.isenabled()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                entry.run()
+            frozen = gc.get_freeze_count()
+        finally:
+            gc.unfreeze()
+            gc.enable() if was else gc.disable()
+        assert seen == [False]
+        assert exc.value.code == 65 and frozen > 0
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=[
+        "inspect", "linear", "native3", "gvs-greedy", "gvs-ip-json", "export",
+        "compare-csv", "histogram-gvs-ip"])
+    def test_garbage_does_not_grow_with_the_instance(self, command, tmp_path,
+                                                     capsys):
+        uf50 = make_instance(random_3sat_instance(random.Random(0), 50, 218))
+        (tmp_path / "uf50.cnf").write_text(to_dimacs(uf50))
+
+        def unreachable(path):
+            gc.collect()
+            gc.disable()
+            try:
+                assert main([command[0], str(path), *command[1:]]) == 0
+                return gc.collect()
+            finally:
+                gc.enable()
+
+        unreachable("example1")  # first imports make garbage of their own
+        small = unreachable("example1")
+        large = unreachable(tmp_path / "uf50.cnf")
+        capsys.readouterr()
+        assert small == large < 1000
 
 
 class TestDeterminism:
