@@ -17,11 +17,14 @@ Outputs are deterministic byte-for-byte unless --timings is passed; paths
 given to -o are written atomically (temp file plus rename).
 
 Each command imports only the modules its path runs.  Parsing the command
-line loads `cnf` alone; `inspect` adds `product` and `graph`; the `linear`
-and `native3` methods add `reports` and `linear` or `schedule`; `gvs-greedy`,
-`gvs-ip` and `export` add `optimize`, `gvs` and `fractions`, and `compare`
-adds those and `linear`.  `json` and `csv` load only for their formats, and
-no command builds a polynomial, so none loads `pubo`.
+line loads `cnf` alone and builds only the named command's subparser;
+`inspect` adds `product`, and `export` adds `product` and `ipmodel`.  The
+`linear` and `native3` methods add `product`, `graph`, `reports` and
+`linear` or `schedule`; `gvs-greedy` adds `product`, `graph`, `reports`,
+`gvs` and `greedy`; `gvs-ip` adds those and `ipmodel`, `optimize` and
+`fractions`, and `compare` adds those and `linear`.  `json` and `csv` load
+only for their formats, and no command builds a polynomial, so none loads
+`pubo`.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ EXIT_BUDGET = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 
+COMMANDS = ("inspect", "analyze", "compare", "histogram", "export", "fetch")
 METHODS = ("linear", "gvs-ip", "gvs-greedy", "native3")
 
 SATLIB_BASE = "https://www.cs.ubc.ca/~hoos/SATLIB/Benchmarks/SAT/RND3SAT/"
@@ -68,60 +72,77 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; with `command` one of COMMANDS, only that
+    command's subparser is built, since no other can be reached.  The
+    top-level usage names every command either way."""
     parser = _Parser(prog="qdepth", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+    wanted = (command,) if command in COMMANDS else COMMANDS
+    # with one subparser built, argparse would name only it in the top-level
+    # usage; this metavar spells out every command just as argparse would
+    metavar = "{" + ",".join(COMMANDS) + "}" if len(wanted) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=metavar)
 
     def add_common(p, formats=("text", "json")):
         p.add_argument("-o", "--output", type=Path, default=None,
                        help="write here instead of stdout (atomic)")
         p.add_argument("--format", choices=formats, default="text")
 
-    p = sub.add_parser("inspect", help="instance facts")
-    p.add_argument("instance")
-    add_common(p)
-    p.set_defaults(func=cmd_inspect)
+    if "inspect" in wanted:
+        p = sub.add_parser("inspect", help="instance facts")
+        p.add_argument("instance")
+        add_common(p)
+        p.set_defaults(func=cmd_inspect)
 
-    p = sub.add_parser("analyze", help="depth report for one formulation")
-    p.add_argument("instance")
-    p.add_argument("--method", choices=METHODS, required=True)
-    p.add_argument("--budget", type=budget_secs, default=DEFAULT_BUDGET_SECS,
-                   help="solver budget in seconds (gvs-ip)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="heuristic seed (gvs-greedy)")
-    p.add_argument("--timings", action="store_true",
-                   help="include wall time (breaks byte-for-byte determinism)")
-    add_common(p)
-    p.set_defaults(func=cmd_analyze)
+    if "analyze" in wanted:
+        p = sub.add_parser("analyze", help="depth report for one formulation")
+        p.add_argument("instance")
+        p.add_argument("--method", choices=METHODS, required=True)
+        p.add_argument("--budget", type=budget_secs,
+                       default=DEFAULT_BUDGET_SECS,
+                       help="solver budget in seconds (gvs-ip)")
+        p.add_argument("--seed", type=int, default=0,
+                       help="heuristic seed (gvs-greedy)")
+        p.add_argument("--timings", action="store_true",
+                       help="include wall time (breaks byte-for-byte determinism)")
+        add_common(p)
+        p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("compare", help="linear vs substituted depth table")
-    p.add_argument("instances", nargs="+")
-    p.add_argument("--budget", type=budget_secs, default=DEFAULT_BUDGET_SECS)
-    p.add_argument("--seeds", type=seed_count, default=20,
-                   help="number of heuristic seeds (0, 1, ...)")
-    p.add_argument("--timings", action="store_true")
-    add_common(p, formats=("text", "json", "csv"))
-    p.set_defaults(func=cmd_compare)
+    if "compare" in wanted:
+        p = sub.add_parser("compare", help="linear vs substituted depth table")
+        p.add_argument("instances", nargs="+")
+        p.add_argument("--budget", type=budget_secs,
+                       default=DEFAULT_BUDGET_SECS)
+        p.add_argument("--seeds", type=seed_count, default=20,
+                       help="number of heuristic seeds (0, 1, ...)")
+        p.add_argument("--timings", action="store_true")
+        add_common(p, formats=("text", "json", "csv"))
+        p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("histogram", help="interaction-degree histogram")
-    p.add_argument("instance")
-    p.add_argument("--method", choices=METHODS, required=True)
-    p.add_argument("--budget", type=budget_secs, default=DEFAULT_BUDGET_SECS)
-    p.add_argument("--seed", type=int, default=0)
-    add_common(p, formats=("text", "json", "csv"))
-    p.set_defaults(func=cmd_histogram)
+    if "histogram" in wanted:
+        p = sub.add_parser("histogram", help="interaction-degree histogram")
+        p.add_argument("instance")
+        p.add_argument("--method", choices=METHODS, required=True)
+        p.add_argument("--budget", type=budget_secs,
+                       default=DEFAULT_BUDGET_SECS)
+        p.add_argument("--seed", type=int, default=0)
+        add_common(p, formats=("text", "json", "csv"))
+        p.set_defaults(func=cmd_histogram)
 
-    p = sub.add_parser("export", help="pair-selection program in LP format")
-    p.add_argument("instance")
-    p.add_argument("-o", "--output", type=Path, default=None)
-    p.set_defaults(func=cmd_export)
+    if "export" in wanted:
+        p = sub.add_parser("export", help="pair-selection program in LP format")
+        p.add_argument("instance")
+        p.add_argument("-o", "--output", type=Path, default=None)
+        p.set_defaults(func=cmd_export)
 
-    p = sub.add_parser("fetch", help="download SATLIB benchmark instances")
-    p.add_argument("sets", nargs="*", default=None,
-                   help=f"which sets (default: all of {', '.join(SATLIB_SETS)})")
-    p.add_argument("--dest", type=Path, default=None,
-                   help="target directory (default: $QDEPTH_SATLIB_DIR or ./satlib)")
-    p.set_defaults(func=cmd_fetch)
+    if "fetch" in wanted:
+        p = sub.add_parser("fetch", help="download SATLIB benchmark instances")
+        p.add_argument("sets", nargs="*", default=None,
+                       help=f"which sets (default: all of {', '.join(SATLIB_SETS)})")
+        p.add_argument("--dest", type=Path, default=None,
+                       help="target directory (default: $QDEPTH_SATLIB_DIR or ./satlib)")
+        p.set_defaults(func=cmd_fetch)
 
     return parser
 
@@ -220,7 +241,7 @@ def run_method(inst: Instance, args):
         from .gvs import cover_free_variables, gvs_degree_table, gvs_report
 
         if args.method == "gvs-greedy":
-            from .optimize import greedy_cover
+            from .greedy import greedy_cover
 
             cover = greedy_cover(inst, args.seed)
         else:
@@ -361,7 +382,7 @@ def cmd_histogram(args) -> int:
 
 
 def cmd_export(args) -> int:
-    from .optimize import build_ip, export_lp
+    from .ipmodel import build_ip, export_lp
 
     _, inst = load_instance(args.instance)
     write_out(export_lp(build_ip(inst)), args.output)
@@ -427,7 +448,8 @@ def cmd_fetch(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if "budget" in args:

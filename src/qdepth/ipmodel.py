@@ -1,0 +1,191 @@
+"""The pair-selection integer program and its text formats.
+
+`build_ip` writes the covering problem as an integer program whose
+objective is the max degree plus a tie-break on the number of substitutions,
+scaled by 1/(10 |C|) so it can never outweigh a degree step.  The objective
+is held exactly as integers over the common denominator 10 |C|, so building
+or exporting the program needs no `fractions`.  `export_lp` renders it in
+CPLEX LP format for external solvers; `_mps_text` renders it as the
+free-format MPS file that `optimize.solve_ip_exact` hands to HiGHS.  Both
+divide each objective weight by the denominator once, which gives the
+correctly rounded double of the exact coefficient.
+
+The degree model inside the program counts one interaction per clause
+occurrence, matching the closed-form degree table rather than the deduped
+interaction graph; the two agree whenever no two clauses share all three
+variables.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from typing import NamedTuple, Sequence
+
+from .cnf import Instance
+from .product import (
+    Covering,
+    Pair,
+    candidate_pairs,
+    coverings,
+    quadratic_pairs,
+)
+
+
+class IpModel(NamedTuple):
+    """Pair-selection integer program, held exactly.
+
+    Variables are ordered: obj (the max degree, a nonnegative integer),
+    then one binary y per candidate pair, then one binary z per covering
+    (clause-major).  Rows are (name, coeffs, sense, rhs) with int coeffs
+    keyed by variable index, int right-hand sides and senses "<=" or "=".
+    The objective holds int weights over `denominator`: 10 |C| on obj,
+    1 on each y and 0 on each z.
+    """
+
+    instance: Instance
+    names: tuple[str, ...]
+    objective: tuple[int, ...]
+    rows: tuple[tuple[str, tuple[tuple[int, int], ...], str, int], ...]
+    pairs: tuple[Pair, ...]
+    covers: tuple[Covering, ...]
+
+    @property
+    def num_variables(self) -> int:
+        return len(self.names)
+
+    @property
+    def denominator(self) -> int:
+        """The objective's common denominator, 10 |C|."""
+        return 10 * self.instance.num_clauses
+
+
+def build_ip(instance: Instance) -> IpModel:
+    """Assemble the exact degree-minimization program for an instance.
+
+    Per problem variable: the degree it would reach under the selection must
+    stay at or below obj.  Per pair: likewise for the pair's substitution
+    variable, 5 from its penalty block plus one per clause it absorbs.  Per
+    clause: exactly one of its three pairs is chosen.  Choosing a covering
+    requires building its pair's gadget (z <= y).
+    """
+    m = instance.num_clauses
+    pairs = sorted(candidate_pairs(instance))
+    quad = quadratic_pairs(instance)
+    covs = coverings(instance)
+
+    names = ["obj"]
+    names += [f"y_{a}_{b}" for a, b in pairs]
+    names += [f"z_c{c.clause}_{c.pair[0]}_{c.pair[1]}" for c in covs]
+
+    y_index = {p: 1 + i for i, p in enumerate(pairs)}
+    z_base = 1 + len(pairs)
+
+    objective = [10 * m] + [1] * len(pairs) + [0] * len(covs)
+
+    # one pass over the coverings fills every row's coefficients; indices
+    # go in ascending (variable, then pair, then covering) order, so each
+    # dict is already sorted
+    num_quad = Counter(v for p in quad for v in p)
+    var_rows = {a: {0: -1} for a in instance.used_variables()}
+    for p in pairs:
+        weight = 4 - (p in quad)
+        for a in p:
+            var_rows[a][y_index[p]] = weight
+    pair_rows = {p: {0: -1} for p in pairs}
+    clause_rows: list[dict[int, int]] = [{} for _ in range(m)]
+    links = []
+    for k, cov in enumerate(covs):
+        z, p = z_base + k, cov.pair
+        var_rows[cov.free][z] = 1
+        pair_rows[p][z] = 1
+        clause_rows[cov.clause][z] = 1
+        links.append((f"link_{p[0]}_{p[1]}_c{cov.clause}",
+                      ((y_index[p], -1), (z, 1)), "<=", 0))
+
+    rows = [(f"deg_v_{a}", tuple(coeffs.items()), "<=", -num_quad[a])
+            for a, coeffs in var_rows.items()]
+    rows += [(f"deg_s_{a}_{b}", tuple(coeffs.items()), "<=", -5)
+             for (a, b), coeffs in pair_rows.items()]
+    rows += [(f"cover_c{c}", tuple(coeffs.items()), "=", 1)
+             for c, coeffs in enumerate(clause_rows)]
+    rows += links
+
+    return IpModel(
+        instance=instance,
+        names=tuple(names),
+        objective=tuple(objective),
+        rows=tuple(rows),
+        pairs=tuple(pairs),
+        covers=tuple(covs),
+    )
+
+
+def _mps_text(model: IpModel) -> str:
+    """The program as a free-format MPS file, laid out as `milp` passed it:
+    columns in variable order, every "<=" row before every "=" row, all
+    columns integer, obj in [0, inf) and the rest in [0, 1].  Values are
+    written as `repr` of their float, which reads back bit for bit."""
+    names = model.names
+    rows = sorted(model.rows, key=lambda row: row[2] == "=")
+    denominator = model.denominator
+    # a column's entries must be contiguous: its cost, then its rows in order
+    columns: list[list[tuple[str, float]]] = [
+        [("cost", v / denominator)] if v else [] for v in model.objective]
+    for row, coeffs, _, _ in rows:
+        for j, v in coeffs:
+            columns[j].append((row, float(v)))
+    lines = ["NAME qdepth", "ROWS", " N cost"]
+    lines += [f" {'E' if sense == '=' else 'L'} {row}"
+              for row, _, sense, _ in rows]
+    lines += ["COLUMNS", " MARKER 'MARKER' 'INTORG'"]
+    lines += [f" {names[j]} {row} {v!r}"
+              for j, column in enumerate(columns) for row, v in column]
+    lines += [" MARKER 'MARKER' 'INTEND'", "RHS"]
+    lines += [f" rhs {row} {float(rhs)!r}" for row, _, _, rhs in rows]
+    lines += ["BOUNDS", f" PL bnd {names[0]}"]
+    lines += [f" UP bnd {name} 1.0" for name in names[1:]]
+    lines.append("ENDATA")
+    return "\n".join(lines) + "\n"
+
+
+def _coef_text(value: int, denominator: int = 1) -> str:
+    """value / denominator: as an integer when it is one, else the repr of
+    its correctly rounded float."""
+    if value % denominator == 0:
+        return str(value // denominator)
+    return repr(value / denominator)
+
+
+def export_lp(model: IpModel) -> str:
+    """Render the program in CPLEX LP format (for external solvers)."""
+    names = model.names
+
+    def terms(coeffs: Sequence[tuple[int, int]], denominator: int = 1) -> str:
+        # positive terms first so rows read "degree stuff - obj <= rhs"
+        ordered = [t for t in coeffs if t[1] > 0] + [t for t in coeffs if t[1] < 0]
+        parts = []
+        for idx, (j, v) in enumerate(ordered):
+            mag = abs(v)
+            body = (names[j] if mag == denominator
+                    else f"{_coef_text(mag, denominator)} {names[j]}")
+            if idx == 0:
+                parts.append(body if v > 0 else f"- {body}")
+            else:
+                parts.append(f"+ {body}" if v > 0 else f"- {body}")
+        return " ".join(parts)
+
+    obj_coeffs = [(j, v) for j, v in enumerate(model.objective) if v != 0]
+    lines = ["Minimize", f" total: {terms(obj_coeffs, model.denominator)}",
+             "Subject To"]
+    for name, coeffs, sense, rhs in model.rows:
+        op = "<=" if sense == "<=" else "="
+        lines.append(f" {name}: {terms(coeffs)} {op} {_coef_text(rhs)}")
+    lines.append("Bounds")
+    lines.append(" obj >= 0")
+    lines.append("Binary")
+    for name in names[1:]:
+        lines.append(f" {name}")
+    lines.append("General")
+    lines.append(" obj")
+    lines.append("End")
+    return "\n".join(lines) + "\n"

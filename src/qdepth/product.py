@@ -31,9 +31,9 @@ from itertools import combinations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cnf import DegenerateClauseError, Instance
-from .graph import InteractionGraph, VarId
 
-if TYPE_CHECKING:  # polynomials load only where one is built
+if TYPE_CHECKING:  # graphs and polynomials load only where one is built
+    from .graph import InteractionGraph
     from .pubo import Polynomial
 
 Pair = tuple[int, int]  # (i, j) with i < j
@@ -42,6 +42,7 @@ Pair = tuple[int, int]  # (i, j) with i < j
 def clause_violation(clause: tuple[int, ...]) -> Polynomial:
     """Product of the literals' falsity indicators, (1 - x) for x and x for
     its negation."""
+    from .graph import VarId
     from .pubo import Polynomial
 
     out = Polynomial.constant(1)
@@ -127,6 +128,8 @@ def native3_hypergraph(instance: Instance) -> InteractionGraph:
     quadratic terms inside a clause act on subsets of the same triple and
     ride along in the same layer, so only triples constrain scheduling.
     """
+    from .graph import InteractionGraph, VarId
+
     _require_three_sat(instance)
     vertices: set[VarId] = set()
     edges: set[frozenset[VarId]] = set()

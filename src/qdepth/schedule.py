@@ -17,7 +17,6 @@ never counted toward depth.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cnf import Instance
@@ -143,11 +142,19 @@ def color_edges(graph: InteractionGraph) -> dict[Edge, int]:
 
 
 def _conflict_adjacency(edges: list[Edge]) -> list[set[int]]:
+    # two edges conflict when they share a vertex, so each vertex's incident
+    # edges are pairwise adjacent: the cost is the sum of squared degrees,
+    # not a test of every pair of edges
+    incident: dict[VarId, list[int]] = {}
+    for i, e in enumerate(edges):
+        for v in e:
+            incident.setdefault(v, []).append(i)
     adj: list[set[int]] = [set() for _ in edges]
-    for i, j in combinations(range(len(edges)), 2):
-        if edges[i] & edges[j]:
-            adj[i].add(j)
-            adj[j].add(i)
+    for ids in incident.values():
+        for i in ids:
+            adj[i].update(ids)
+    for i, neighbours in enumerate(adj):
+        neighbours.discard(i)
     return adj
 
 

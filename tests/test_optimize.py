@@ -59,8 +59,8 @@ def reference_ip(instance):
     names += [f"z_c{c.clause}_{tag(c.pair)}" for c in covs]
     y_index = {p: 1 + i for i, p in enumerate(pairs)}
     z_base = 1 + len(pairs)
-    objective = [Fraction(1)] + [Fraction(1, 10 * m)] * len(pairs)
-    objective += [Fraction(0)] * len(covs)
+    # integer weights over the common denominator 10 |C|
+    objective = [10 * m] + [1] * len(pairs) + [0] * len(covs)
 
     rows = []
     for a in instance.used_variables():
@@ -162,18 +162,21 @@ class TestModel:
         assert (coeffs, sense, rhs) == ({"z_c0_1_2": 1, "y_1_2": -1}, "<=", 0)
 
     def test_rows_hold_ints(self):
-        # only the objective's tie-break needs exact fractions
+        # the objective's tie-break is held over an integer denominator
         model = build_ip(example1())
         for _, coeffs, _, rhs in model.rows:
             assert type(rhs) is int
             assert all(type(j) is type(v) is int for j, v in coeffs)
-        assert all(type(v) is Fraction for v in model.objective)
+        assert all(type(v) is int for v in model.objective)
+        assert type(model.denominator) is int
 
     def test_objective_coefficients(self):
+        # obj weighs 1 and each y 1/(10 |C|) = 1/40, over denominator 40
         model = build_ip(example1())
-        assert model.objective[0] == 1
-        assert set(model.objective[1:10]) == {Fraction(1, 40)}
-        assert set(model.objective[10:]) == {Fraction(0)}
+        assert model.denominator == 40
+        assert model.objective[0] == 40
+        assert set(model.objective[1:10]) == {1}
+        assert set(model.objective[10:]) == {0}
 
 
 class TestExactSolve:
@@ -233,6 +236,14 @@ class TestExactSolve:
         assert _degree_lower_bound(8.0, 0, 4) == 8
 
 
+def reference_cost(model):
+    """The objective as `milp` was handed it, from the exact tie-break
+    1/(10 |C|) rather than from `model.objective`."""
+    m = model.instance.num_clauses
+    return ([1.0] + [float(Fraction(1, 10 * m))] * len(model.pairs)
+            + [0.0] * len(model.covers))
+
+
 def reference_solve(instance, budget_secs=300.0):
     """The exact solve through `scipy.optimize.milp`: sparse rows grouped by
     sense, scipy's status codes and result fields."""
@@ -257,7 +268,7 @@ def reference_solve(instance, budget_secs=300.0):
         lower = -np.inf if sense == "<=" else rhs
         constraints.append(LinearConstraint(mat, lower, rhs))
     res = milp(
-        np.array([float(v) for v in model.objective]),
+        np.array(reference_cost(model)),
         constraints=constraints,
         integrality=np.ones(n),
         bounds=Bounds(np.zeros(n), ub),
@@ -340,7 +351,7 @@ def reference_lp(h, model):
     lp.a_matrix_.start_ = list(accumulate(map(len, col_rows), initial=0))
     lp.a_matrix_.index_ = list(chain.from_iterable(col_rows))
     lp.a_matrix_.value_ = list(chain.from_iterable(col_values))
-    lp.col_cost_ = [float(v) for v in model.objective]
+    lp.col_cost_ = reference_cost(model)
     lp.col_lower_ = [0.0] * n
     lp.col_upper_ = [h.kHighsInf] + [1.0] * (n - 1)
     lp.row_lower_ = [-h.kHighsInf if row[2] == "<=" else float(row[3])

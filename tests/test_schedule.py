@@ -18,6 +18,7 @@ from qdepth.pubo import (
 from qdepth.schedule import (
     ImproperColoringError,
     Schedule,
+    _conflict_adjacency,
     build_schedule,
     color_edges,
     color_hyperedges,
@@ -53,6 +54,16 @@ def min_conflict_colors(edges):
             if all(assign[i] != assign[j] for i, j in conflicts):
                 return k
     raise AssertionError
+
+
+def pairwise_conflicts(edges):
+    # conflict adjacency by testing every pair of edges; test-only oracle
+    adj = [set() for _ in edges]
+    for i, j in itertools.combinations(range(len(edges)), 2):
+        if edges[i] & edges[j]:
+            adj[i].add(j)
+            adj[j].add(i)
+    return adj
 
 
 def reference_color_edges(graph):
@@ -225,6 +236,24 @@ class TestHyperedgeColoring:
     def test_deterministic(self):
         g = native3_hypergraph(example1())
         assert color_hyperedges(g) == color_hyperedges(g)
+
+    @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
+    def test_conflict_adjacency_matches_pairwise_scan(self):
+        # criterion 9's simple graphs, then native3 hypergraphs of formulas
+        # whose clauses share variable triples
+        rng = random.Random(911)
+        graphs = [random_graph(rng, max_vertices=60) for _ in range(40)]
+        graphs.append(native3_hypergraph(
+            make_instance([(1, 2, 3), (-1, 2, 3), (3, 4, 5)])))
+        for n in (4, 5, 8, 20):
+            for _ in range(3):
+                clauses = [tuple(v if rng.random() < 0.5 else -v
+                                 for v in rng.sample(range(1, n + 1), 3))
+                           for _ in range(round(4.26 * n))]
+                graphs.append(native3_hypergraph(make_instance(clauses)))
+        for g in graphs:
+            edges = sorted(g.edges, key=lambda e: tuple(sorted(e)))
+            assert _conflict_adjacency(edges) == pairwise_conflicts(edges)
 
 
 class TestSchedule:
