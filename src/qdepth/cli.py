@@ -217,28 +217,30 @@ def write_out(text: str, output: Path | None) -> None:
 def run_method(inst: Instance, args):
     """The one dispatch over METHODS, importing only what the method runs.
 
-    Returns (degree table, report builder, exit code).  The builder makes the
-    method's DepthReport, degrees included, only when called, so `histogram`
-    never pays for it.  Exits with EXIT_BUDGET when the exact solve finds no
-    cover within the budget.
+    Returns (degree table, report builder, exit code).  The method's graph
+    is built once, for the table and the report.  The builder makes the
+    DepthReport, degrees included, only when called, so `histogram` never
+    pays for it.  Exits with EXIT_BUDGET when the exact solve finds no cover
+    within the budget.
     """
     from functools import partial
 
     fields = {}
     exit_code = EXIT_OK
     if args.method == "linear":
-        from .linear import linear_degree_table, linear_report
+        from .linear import linear_degree_table, linear_graph, linear_report
 
-        table = linear_degree_table(inst)
-        build = partial(linear_report, inst)
+        graph = linear_graph(inst)
+        table = linear_degree_table(inst, graph)
+        build = partial(linear_report, inst, graph)
     elif args.method == "native3":
-        from .product import native3_hypergraph
-        from .schedule import native3_report
+        from .schedule import native3_graph, native3_report
 
-        table = native3_hypergraph(inst).degrees()
-        build = partial(native3_report, inst)
+        graph = native3_graph(inst)
+        table = graph.degree_table()
+        build = partial(native3_report, inst, graph)
     else:
-        from .gvs import cover_free_variables, gvs_degree_table, gvs_report
+        from .gvs import cover_graph, gvs_degree_table, gvs_report
 
         if args.method == "gvs-greedy":
             from .greedy import greedy_cover
@@ -260,10 +262,9 @@ def run_method(inst: Instance, args):
             if sol.status != "optimal":
                 exit_code = EXIT_BUDGET
         fields["formulation"] = args.method
-        free = cover_free_variables(inst, cover)
-        table = gvs_degree_table(inst, cover, free)
-        build = partial(gvs_report, inst, cover,
-                        max(table.values(), default=0), free)
+        graph = cover_graph(inst, cover)
+        table = gvs_degree_table(inst, cover, graph)
+        build = partial(gvs_report, inst, cover, graph)
 
     def report():
         degrees = tuple((v.name, d) for v, d in sorted(table.items()))

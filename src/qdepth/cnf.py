@@ -195,15 +195,6 @@ def to_dimacs(instance: Instance, comments: Iterable[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def clause_incidence(instance: Instance) -> dict[int, tuple[int, ...]]:
-    """variable index -> clause indices containing it, in clause order."""
-    out: dict[int, list[int]] = {}
-    for c, clause in enumerate(instance.clauses):
-        for lit in clause:
-            out.setdefault(abs(lit), []).append(c)
-    return {v: tuple(cs) for v, cs in sorted(out.items())}
-
-
 def example1() -> Instance:
     """The worked five-variable, four-clause instance used across the docs."""
     return make_instance([(1, 2, -3), (1, 3, 4), (-2, 4, 5), (1, -2, 5)])

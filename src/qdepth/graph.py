@@ -4,12 +4,27 @@ Degree tables, colorings and the command line need only which variables
 exist and which of them interact; they never need coefficient values.  This
 module holds that structure with no dependence on `fractions`, so a command
 that never builds a polynomial never loads the exact-arithmetic layer
-(`qdepth.pubo`, which re-exports these names).
+(`qdepth.pubo`, which re-exports `VarId`, `InteractionGraph` and
+`graph_union`).
+
+`linear_graph`, `gvs_graph` and `native3_graph` build each encoding's
+graph as integer edges straight from the clause supports, each gate once
+however many clauses produce it; every reported degree, Δ and edge count is
+read from them.  The polynomial route (`linear_derived_graph`,
+`gvs_derived_graph`) builds the same graphs and stays as their check.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from collections import Counter
+from itertools import chain, combinations
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+
+from .product import quadratic_pairs, require_three_sat
+
+if TYPE_CHECKING:
+    from .cnf import Instance
+    from .product import Pair
 
 # Kind ranks are chosen so that sorting VarIds agrees with the alphabetical
 # order of their rendered names: d... < u... < x... < z...
@@ -138,3 +153,75 @@ def graph_union(graphs: Iterable[InteractionGraph]) -> InteractionGraph:
         vertices |= g.vertices
         edges |= g.edges
     return InteractionGraph(frozenset(vertices), frozenset(edges))
+
+
+class IntGraph(NamedTuple):
+    """An encoding's interaction graph over integer vertices.
+
+    Vertex i <= num_vars is problem variable i; vertex num_vars + 1 + k is
+    the encoding's ancilla k.  Each edge, or native3 hyperedge, is a sorted
+    int tuple, held once.
+    """
+
+    num_vars: int
+    edges: frozenset[tuple[int, ...]]
+
+    def degrees(self) -> Counter[int]:
+        return Counter(chain.from_iterable(self.edges))
+
+    def max_degree(self) -> int:
+        return max(self.degrees().values(), default=0)
+
+    def degree_table(self, ancillas: Sequence[VarId] = ()) -> dict[VarId, int]:
+        """Degrees by name, in vertex order: vertex i <= num_vars is x_i and
+        ancilla k is named by ancillas[k]."""
+        n = self.num_vars
+        return {VarId.x(v) if v <= n else ancillas[v - n - 1]: d
+                for v, d in sorted(self.degrees().items())}
+
+
+def _triples(instance: Instance) -> list[tuple[int, int, int]]:
+    require_three_sat(instance)
+    return [tuple(sorted(abs(lit) for lit in clause))
+            for clause in instance.clauses]
+
+
+def linear_graph(instance: Instance) -> IntGraph:
+    """The dualized linear encoding: one K6 per clause c on its variables
+    and its ancillas 3c, 3c+1, 3c+2 (d_c1, d_c2, z_c)."""
+    n = instance.num_vars
+    edges = set()
+    for c, triple in enumerate(_triples(instance)):
+        a = n + 1 + 3 * c
+        edges.update(combinations(triple + (a, a + 1, a + 2), 2))
+    return IntGraph(n, frozenset(edges))
+
+
+def gvs_graph(instance: Instance, pairs: Sequence[Pair]) -> IntGraph:
+    """The pair-substituted encoding of a cover, pairs[c] within clause c.
+
+    Used pair k (sorted) owns ancillas 4k to 4k+3: u, d1, d2, d3.  Edges:
+    the quadratic pairs; per used pair (i, j) its penalty block's i-j, u-i,
+    u-j, u-d1, u-d2, u-d3, d1-i, d1-j, d2-i and d3-j; and one u-free edge
+    per distinct (pair, free variable) key, shared by its clauses.
+    """
+    n = instance.num_vars
+    # a pair's free variable is the rest of its clause's triple
+    keys = {(pair, sum(triple) - sum(pair))
+            for pair, triple in zip(pairs, _triples(instance))}
+    used = sorted({pair for pair, _ in keys})
+    u_of = {pair: n + 1 + 4 * k for k, pair in enumerate(used)}
+    edges = set(quadratic_pairs(instance))
+    for (i, j), u in u_of.items():
+        edges.update(((i, j), (i, u), (j, u), (u, u + 1), (u, u + 2),
+                      (u, u + 3), (i, u + 1), (j, u + 1), (i, u + 2),
+                      (j, u + 3)))
+    edges.update((free, u_of[pair]) for pair, free in keys)
+    return IntGraph(n, frozenset(edges))
+
+
+def native3_graph(instance: Instance) -> IntGraph:
+    """The cubic encoding run directly: one hyperedge per distinct clause
+    triple.  A clause is one three-qubit gate block; its quadratic terms act
+    on subsets of the triple and ride along in the same layer."""
+    return IntGraph(instance.num_vars, frozenset(_triples(instance)))

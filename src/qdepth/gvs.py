@@ -21,42 +21,20 @@ at least the multiplier in penalty.  A multiplier of 1 is not enough: one
 wrong u covering two clauses would pay 1 and save 2, driving the minimum
 below zero on a satisfiable instance.
 
-Degrees of the derived graph (again a union of per-addend graphs) have
-closed forms.  With U the used pairs, P the quadratic-pair set, C_u the
-clauses covered by u and C'_x the clauses where x survives as the free
-variable:
-
-    deg(x_i) = 4*|{u in U : i in u}| - |{u in U ∩ P : i in u}|
-             + |{p in P : i in p}| + |C'_{x_i}|
-    deg(u)   = 5 + |C_u|
-    deg(d1)  = 3,   deg(d2) = deg(d3) = 2
-
-The per-pair count is 4 because the penalty block of a used pair meets x_i
-in u, the partner variable, the A slack and x_i's own B/C slack.  The -1
-correction removes the double count when the pair's own quadratic edge
-already exists in the penalty block.  Cover counts are clause multisets;
-with repeated identical variable triples the formulas count a merged edge
-twice, so callers wanting exact graph equality should keep triples distinct.
-
-The edge count has a closed form too, exact for every cover:
-
-    |E| = |P ∪ U| + 9*|U| + |{(u, x) : x is free in some clause u covers}|
-
-Variable-variable edges are the quadratic pairs surviving in substituted
-clauses plus each used pair's own edge from its penalty block.  Every used
-pair's block adds 9 edges at its ancillas (u-x_i, u-x_j, u-d1, u-d2, u-d3,
-d1-x_i, d1-x_j, d2-x_i, d3-x_j), and every substituted clause adds a u-free
-edge, merged across clauses with the same pair and free variable.
+The derived graph is again the union of the per-addend graphs;
+`graph.gvs_graph` builds it over integers, and tables, Δ and edge counts
+are read from it.  A used pair's penalty block gives its u degree 5 and its
+slacks 3, 2 and 2, and each distinct (pair, free variable) key adds one
+u-free edge: clauses on one variable triple with one pair share it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .cnf import Instance
-from .graph import InteractionGraph, VarId, graph_union
-from .product import Pair, clause_violation, quadratic_pairs
+from .graph import IntGraph, InteractionGraph, VarId, graph_union, gvs_graph
+from .product import Pair, clause_violation
 from .reports import DepthReport
 
 if TYPE_CHECKING:  # polynomials load only where one is built
@@ -101,15 +79,6 @@ def make_cover(instance: Instance, pairs: Sequence[Iterable[int]]) -> Cover:
             )
         canon.append(pair)
     return Cover(tuple(canon))
-
-
-def cover_free_variables(instance: Instance, cover: Cover) -> tuple[int, ...]:
-    """The unsubstituted variable of each clause, in clause order."""
-    out = []
-    for c, pair in enumerate(cover.pairs):
-        (free,) = instance.clause_vars(c).difference(pair)
-        out.append(free)
-    return tuple(out)
 
 
 def substitute_clause(clause: tuple[int, ...], pair: Pair) -> Polynomial:
@@ -189,69 +158,46 @@ def _validate(instance: Instance, cover: Cover) -> None:
     make_cover(instance, cover.pairs)
 
 
-def _degree_counts(instance: Instance, cover: Cover, free=None) -> tuple[Counter, Counter]:
-    """Each problem variable's degree and each used pair's clause count,
-    for a cover already checked against the instance (`free`: its
-    `cover_free_variables`, if the caller holds them)."""
-    P = quadratic_pairs(instance)
-    cover_counts = Counter(cover.pairs)
-    # per variable: its free occurrences, 4 per used pair holding it (3 if
-    # that pair is also quadratic), plus 1 per quadratic pair holding it
-    degrees = Counter(free or cover_free_variables(instance, cover))
-    for s in cover_counts:
-        for v in s:
-            degrees[v] += 3 if s in P else 4
-    for p in P:
-        for v in p:
-            degrees[v] += 1
-    return degrees, cover_counts
-
-
 def _max_degree(instance: Instance, cover: Cover) -> int:
     """Δ of a cover fresh from `make_cover`, without checking it again."""
-    degrees, cover_counts = _degree_counts(instance, cover)
-    # a used pair's slacks (3 and 2) never reach its u's 5 + clauses
-    return max([*degrees.values(), *(5 + n for n in cover_counts.values())],
-               default=0)
+    return gvs_graph(instance, cover.pairs).max_degree()
+
+
+def cover_graph(instance: Instance, cover: Cover) -> IntGraph:
+    """The cover's interaction graph, after checking the cover."""
+    _validate(instance, cover)
+    return gvs_graph(instance, cover.pairs)
 
 
 def gvs_degree_table(instance: Instance, cover: Cover,
-                     free=None) -> dict[VarId, int]:
-    """Closed-form degrees for every vertex of the substituted model
-    (`free`: the cover's `cover_free_variables`, if the caller holds them)."""
-    _validate(instance, cover)
-    degrees, cover_counts = _degree_counts(instance, cover, free)
-    table = {VarId.x(v): degrees[v] for v in instance.used_variables()}
-    for pair in cover.used:
-        table[VarId.sub(pair)] = 5 + cover_counts[pair]
-        table[VarId.sub_slack(pair, 1)] = 3
-        table[VarId.sub_slack(pair, 2)] = 2
-        table[VarId.sub_slack(pair, 3)] = 2
-    return table
+                     graph: IntGraph | None = None) -> dict[VarId, int]:
+    """Degrees of every vertex of the substituted model (`graph`: the
+    cover's `cover_graph`, if the caller holds it)."""
+    graph = graph or cover_graph(instance, cover)
+    ancillas = [a for pair in cover.used
+                for a in (VarId.sub(pair), VarId.sub_slack(pair, 1),
+                          VarId.sub_slack(pair, 2), VarId.sub_slack(pair, 3))]
+    return graph.degree_table(ancillas)
 
 
 def gvs_max_degree(instance: Instance, cover: Cover) -> int:
-    _validate(instance, cover)
-    return _max_degree(instance, cover)
+    return cover_graph(instance, cover).max_degree()
 
 
 def gvs_report(instance: Instance, cover: Cover,
-               delta: int | None = None, free=None) -> DepthReport:
-    """Δ and free variables come in from a caller that made the cover's
-    degree table; without them the cover is checked here."""
-    delta = gvs_max_degree(instance, cover) if delta is None else delta
+               graph: IntGraph | None = None) -> DepthReport:
+    """`graph`: the cover's `cover_graph`, if the caller holds it; without
+    it the cover is checked here."""
+    graph = graph or cover_graph(instance, cover)
+    delta = graph.max_degree()
     used_vars = instance.used_variables()
     num_subs = cover.num_substitutions
-    used = set(cover.pairs)
-    free_keys = set(zip(cover.pairs, free or cover_free_variables(instance, cover)))
-    num_edges = (len(quadratic_pairs(instance) | used) + 9 * num_subs
-                 + len(free_keys))
     return DepthReport(
         formulation="gvs",
         num_problem_vars=len(used_vars),
         num_ancillas=4 * num_subs,
         num_qubits=len(used_vars) + 4 * num_subs,
-        num_interactions=num_edges,
+        num_interactions=len(graph.edges),
         max_degree=delta,
         depth_upper=delta + 2,
         depth_lower=delta + 1,

@@ -3,17 +3,18 @@
 `build_ip` writes the covering problem as an integer program whose
 objective is the max degree plus a tie-break on the number of substitutions,
 scaled by 1/(10 |C|) so it can never outweigh a degree step.  The objective
-is held exactly as integers over the common denominator 10 |C|, so building
-or exporting the program needs no `fractions`.  `export_lp` renders it in
-CPLEX LP format for external solvers; `_mps_text` renders it as the
-free-format MPS file that `optimize.solve_ip_exact` hands to HiGHS.  Both
-divide each objective weight by the denominator once, which gives the
-correctly rounded double of the exact coefficient.
+is held exactly as integers over the common denominator 10 |C| (10 with no
+clauses), so building or exporting the program needs no `fractions`.
+`export_lp` renders it in CPLEX LP format for external solvers; `_mps_text`
+renders it as the free-format MPS file that `optimize.solve_ip_exact` hands
+to HiGHS.  Both divide each objective weight by the denominator once, which
+gives the correctly rounded double of the exact coefficient.
 
-The degree model inside the program counts one interaction per clause
-occurrence, matching the closed-form degree table rather than the deduped
-interaction graph; the two agree whenever no two clauses share all three
-variables.
+The degree rows count a u-free edge once per distinct (pair, free) key, as
+`graph.gvs_graph` does.  A clause repeating an earlier clause's variable
+triple is tied to its pair choice, and each key counts through the first
+clause.  The ties lose nothing: moving a repeat onto its twin's pair adds
+no edge, so no degree or substitution count rises.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ class IpModel(NamedTuple):
     then one binary y per candidate pair, then one binary z per covering
     (clause-major).  Rows are (name, coeffs, sense, rhs) with int coeffs
     keyed by variable index, int right-hand sides and senses "<=" or "=".
-    The objective holds int weights over `denominator`: 10 |C| on obj,
-    1 on each y and 0 on each z.
+    The objective holds int weights over `denominator`: the denominator on
+    obj, 1 on each y and 0 on each z.
     """
 
     instance: Instance
@@ -55,8 +56,13 @@ class IpModel(NamedTuple):
 
     @property
     def denominator(self) -> int:
-        """The objective's common denominator, 10 |C|."""
-        return 10 * self.instance.num_clauses
+        return tie_break_denominator(self.instance.num_clauses)
+
+
+def tie_break_denominator(num_clauses: int) -> int:
+    """The objective's common denominator, 10 max(|C|, 1): obj weighs it,
+    so obj weighs 1 even in a formula with no clauses."""
+    return 10 * max(num_clauses, 1)
 
 
 def build_ip(instance: Instance) -> IpModel:
@@ -64,9 +70,10 @@ def build_ip(instance: Instance) -> IpModel:
 
     Per problem variable: the degree it would reach under the selection must
     stay at or below obj.  Per pair: likewise for the pair's substitution
-    variable, 5 from its penalty block plus one per clause it absorbs.  Per
-    clause: exactly one of its three pairs is chosen.  Choosing a covering
-    requires building its pair's gadget (z <= y).
+    variable, 5 from its penalty block plus one per distinct free variable
+    of the clauses it absorbs.  Per clause: exactly one of its three pairs
+    is chosen, the same one as the first clause on its variable triple.
+    Choosing a covering requires building its pair's gadget (z <= y).
     """
     m = instance.num_clauses
     pairs = sorted(candidate_pairs(instance))
@@ -80,7 +87,7 @@ def build_ip(instance: Instance) -> IpModel:
     y_index = {p: 1 + i for i, p in enumerate(pairs)}
     z_base = 1 + len(pairs)
 
-    objective = [10 * m] + [1] * len(pairs) + [0] * len(covs)
+    objective = [tie_break_denominator(m)] + [1] * len(pairs) + [0] * len(covs)
 
     # one pass over the coverings fills every row's coefficients; indices
     # go in ascending (variable, then pair, then covering) order, so each
@@ -93,11 +100,17 @@ def build_ip(instance: Instance) -> IpModel:
             var_rows[a][y_index[p]] = weight
     pair_rows = {p: {0: -1} for p in pairs}
     clause_rows: list[dict[int, int]] = [{} for _ in range(m)]
-    links = []
+    ties, links = [], []
+    first: dict[tuple[Pair, int], int] = {}  # (pair, free) -> its first z
     for k, cov in enumerate(covs):
         z, p = z_base + k, cov.pair
-        var_rows[cov.free][z] = 1
-        pair_rows[p][z] = 1
+        z0 = first.setdefault((p, cov.free), z)
+        if z0 == z:
+            var_rows[cov.free][z] = 1
+            pair_rows[p][z] = 1
+        else:
+            ties.append((f"repeat_c{cov.clause}_{p[0]}_{p[1]}",
+                         ((z0, -1), (z, 1)), "=", 0))
         clause_rows[cov.clause][z] = 1
         links.append((f"link_{p[0]}_{p[1]}_c{cov.clause}",
                       ((y_index[p], -1), (z, 1)), "<=", 0))
@@ -108,6 +121,7 @@ def build_ip(instance: Instance) -> IpModel:
              for (a, b), coeffs in pair_rows.items()]
     rows += [(f"cover_c{c}", tuple(coeffs.items()), "=", 1)
              for c, coeffs in enumerate(clause_rows)]
+    rows += ties
     rows += links
 
     return IpModel(

@@ -15,37 +15,21 @@ z_c.  The constrained problem max sum(z_c) s.t. all f_c = 0 is dualized as
 which is quadratic, so the depth bound follows from the maximum degree of
 its interaction graph.
 
-Degrees are computed on the union of the per-clause interaction graphs.
+Degrees are those of the union of the per-clause interaction graphs.
 Each addend z_c - penalty*f_c^2 touches six variables (three problem bits,
 two slacks, one indicator) and its square contains every pair of them, so
 per clause the graph is a complete K6.  Equal and opposite cross-clause
 quadratic terms can cancel in the summed polynomial; those gates still run,
-so the union, not the sum, is what the hardware sees.  The closed form per
-problem variable is
-
-    deg(x_i) = 5*|C_i| - sum over co-variables j of (|C_ij| - 1)
-
-where C_i are the clauses containing x_i and C_ij those containing both:
-five fresh neighbors per clause, minus repeat edges to co-variables seen in
-more than one shared clause.  Ancillas live in one clause only, so their
-degree is always 5.
-
-For the same reason the edge count is
-
-    |E| = 12*|C| + |candidate pairs|
-
-per clause 3 ancilla-ancilla and 9 ancilla-variable edges, never shared,
-while the variable-variable edges are exactly the pairs sharing a clause.
+so the union, not the sum, is what the hardware sees.  `graph.linear_graph`
+builds that union over integers; tables, Δ and edge counts are read from it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import TYPE_CHECKING
 
-from .cnf import DegenerateClauseError, Instance, clause_incidence
-from .graph import InteractionGraph, VarId, graph_union
-from .product import candidate_pairs
+from .cnf import DegenerateClauseError, Instance
+from .graph import IntGraph, InteractionGraph, VarId, graph_union, linear_graph
 from .reports import DepthReport
 
 if TYPE_CHECKING:  # exact arithmetic loads only where a polynomial is built
@@ -126,42 +110,33 @@ def linear_derived_graph(instance: Instance) -> InteractionGraph:
     )
 
 
-def _variable_degree(instance: Instance, var: int, clauses) -> int:
-    covar_multiplicity: Counter[int] = Counter()
-    for c in clauses:
-        for other in instance.clause_vars(c):
-            if other != var:
-                covar_multiplicity[other] += 1
-    repeats = sum(m - 1 for m in covar_multiplicity.values())
-    return 5 * len(clauses) - repeats
-
-
-def linear_degree_table(instance: Instance) -> dict[VarId, int]:
-    """Closed-form degrees for every vertex of the derived graph."""
-    table: dict[VarId, int] = {}
-    for v, clauses in clause_incidence(instance).items():
-        table[VarId.x(v)] = _variable_degree(instance, v, clauses)
-    for c in range(instance.num_clauses):
-        for a in (VarId.clause_slack(c, 1), VarId.clause_slack(c, 2), VarId.z(c)):
-            table[a] = 5
-    return table
+def linear_degree_table(instance: Instance,
+                        graph: IntGraph | None = None) -> dict[VarId, int]:
+    """Degrees of every vertex of the derived graph (`graph`: the
+    instance's `linear_graph`, if the caller holds it)."""
+    graph = graph or linear_graph(instance)
+    ancillas = [a for c in range(instance.num_clauses)
+                for a in (VarId.clause_slack(c, 1), VarId.clause_slack(c, 2),
+                          VarId.z(c))]
+    return graph.degree_table(ancillas)
 
 
 def linear_max_degree(instance: Instance) -> int:
-    return max(linear_degree_table(instance).values(), default=0)
+    return linear_graph(instance).max_degree()
 
 
-def linear_report(instance: Instance) -> DepthReport:
+def linear_report(instance: Instance,
+                  graph: IntGraph | None = None) -> DepthReport:
+    graph = graph or linear_graph(instance)
     used = instance.used_variables()
     num_ancillas = 3 * instance.num_clauses
-    num_edges = 12 * instance.num_clauses + len(candidate_pairs(instance))
-    delta = linear_max_degree(instance)
+    delta = graph.max_degree()
     return DepthReport(
         formulation="linear",
         num_problem_vars=len(used),
         num_ancillas=num_ancillas,
         num_qubits=len(used) + num_ancillas,
-        num_interactions=num_edges,
+        num_interactions=len(graph.edges),
         max_degree=delta,
         depth_upper=delta + 2,
         depth_lower=delta + 1,

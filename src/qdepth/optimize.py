@@ -47,7 +47,8 @@ from . import DEFAULT_BUDGET_SECS
 from .cnf import Instance
 from .greedy import greedy_batch, greedy_cover  # noqa: F401 - re-exported
 from .gvs import Cover, _max_degree, gvs_max_degree, make_cover
-from .ipmodel import IpModel, _mps_text, build_ip, export_lp  # noqa: F401 - re-exported
+from .ipmodel import (IpModel, _mps_text, build_ip,  # noqa: F401 - re-exported
+                      export_lp, tie_break_denominator)
 from .product import Pair, quadratic_pairs
 from .reports import ComparisonRow
 
@@ -82,7 +83,7 @@ def _degree_lower_bound(dual_bound: float, num_pairs: int, m: int) -> int | None
     if not math.isfinite(dual_bound):
         return None
     # obj >= dual bound minus the largest possible tie-break mass
-    slack = Fraction(num_pairs, 10 * m)
+    slack = Fraction(num_pairs, tie_break_denominator(m))
     bound = Fraction(dual_bound).limit_denominator(10**12) - slack - DUAL_BOUND_FUZZ
     return max(0, math.ceil(bound))
 
@@ -108,7 +109,8 @@ def score_cover(instance: Instance, cover: Cover) -> Fraction:
 
 
 def _score(instance: Instance, cover: Cover, degree: int) -> Fraction:
-    return degree + Fraction(cover.num_substitutions, 10 * instance.num_clauses)
+    return degree + Fraction(cover.num_substitutions,
+                             tie_break_denominator(instance.num_clauses))
 
 
 SCIPY_FLOOR = "1.15"  # first release with scipy/optimize/_highspy/_core
@@ -193,12 +195,15 @@ def solve_ip_exact(
 def enumerate_exact(instance: Instance) -> IpSolution:
     """Try every per-clause pair choice; only sensible for small |C|.
 
-    Scores covers with its own inline degree count instead of the shared
-    degree-table code, so agreement with the integer program is a genuine
-    cross-check.  Ties resolve to the first minimizer in lexicographic
-    choice order, making the returned cover deterministic.
+    Scores covers with its own inline degree count, over each choice's
+    distinct (pair, free variable) keys, instead of the shared graph
+    builder, so agreement with the integer program is a genuine cross-check
+    (of its ties between repeated triples too, since every choice is tried).
+    Ties resolve to the first minimizer in lexicographic choice order,
+    making the returned cover deterministic.
     """
     m = instance.num_clauses
+    denominator = tie_break_denominator(m)
     quad = quadratic_pairs(instance)
     p_count = Counter(v for p in quad for v in p)
     variables = instance.used_variables()
@@ -213,15 +218,10 @@ def enumerate_exact(instance: Instance) -> IpSolution:
     best: Fraction | None = None
     best_choice = None
     for choice in product(*clause_options):
-        used: dict[Pair, int] = {}
-        free_counts: Counter = Counter()
-        for pair, free in choice:
-            used[pair] = used.get(pair, 0) + 1
-            free_counts[free] += 1
-        delta = 0
-        for pair, covered in used.items():
-            if 5 + covered > delta:
-                delta = 5 + covered
+        keys = set(choice)
+        used = Counter(pair for pair, _ in keys)
+        free_counts = Counter(free for _, free in keys)
+        delta = max((5 + frees for frees in used.values()), default=0)
         for a in variables:
             d = p_count[a] + free_counts[a]
             for p in used:
@@ -229,7 +229,7 @@ def enumerate_exact(instance: Instance) -> IpSolution:
                     d += 3 if p in quad else 4
             if d > delta:
                 delta = d
-        value = Fraction(delta) + Fraction(len(used), 10 * m)
+        value = Fraction(delta) + Fraction(len(used), denominator)
         if best is None or value < best:
             best = value
             best_choice = choice
@@ -239,7 +239,7 @@ def enumerate_exact(instance: Instance) -> IpSolution:
     degree = gvs_max_degree(instance, cover)
     value = _score(instance, cover, degree)
     if value != best:
-        raise ModelError("inline degree count disagrees with the degree table")
+        raise ModelError("inline degree count disagrees with the graph")
     return IpSolution(
         status="optimal",
         cover=cover,

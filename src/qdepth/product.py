@@ -32,8 +32,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .cnf import DegenerateClauseError, Instance
 
-if TYPE_CHECKING:  # graphs and polynomials load only where one is built
-    from .graph import InteractionGraph
+if TYPE_CHECKING:  # polynomials load only where one is built
     from .pubo import Polynomial
 
 Pair = tuple[int, int]  # (i, j) with i < j
@@ -60,7 +59,7 @@ def product_objective(instance: Instance) -> Polynomial:
     """
     from .pubo import Polynomial
 
-    _require_three_sat(instance)
+    require_three_sat(instance)
     total = Polynomial.zero()
     for clause in instance.clauses:
         total = total + clause_violation(clause)
@@ -81,7 +80,7 @@ def _pair_sets(
 ) -> tuple[frozenset[Pair], frozenset[Pair], tuple[Covering, ...]]:
     """Candidate pairs, quadratic pairs and coverings, from one pass over
     the clauses.  Every caller shares the memoized values: keep them immutable."""
-    _require_three_sat(instance)
+    require_three_sat(instance)
     quadratic: set[Pair] = set()
     covs = []
     for c, clause in enumerate(instance.clauses):
@@ -121,26 +120,7 @@ def covering_graph(instance: Instance) -> dict[Pair, tuple[int, ...]]:
     return {p: tuple(cs) for p, cs in out.items()}
 
 
-def native3_hypergraph(instance: Instance) -> InteractionGraph:
-    """One hyperedge per distinct clause variable triple.
-
-    Each clause compiles to one three-qubit gate block on its variables; the
-    quadratic terms inside a clause act on subsets of the same triple and
-    ride along in the same layer, so only triples constrain scheduling.
-    """
-    from .graph import InteractionGraph, VarId
-
-    _require_three_sat(instance)
-    vertices: set[VarId] = set()
-    edges: set[frozenset[VarId]] = set()
-    for c in range(instance.num_clauses):
-        triple = frozenset(VarId.x(v) for v in instance.clause_vars(c))
-        vertices.update(triple)
-        edges.add(triple)
-    return InteractionGraph(frozenset(vertices), frozenset(edges))
-
-
-def _require_three_sat(instance: Instance) -> None:
+def require_three_sat(instance: Instance) -> None:
     for c, clause in enumerate(instance.clauses):
         if len(clause) != 3:
             raise DegenerateClauseError(

@@ -20,8 +20,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cnf import Instance
-from .graph import InteractionGraph, NotSimpleGraphError, VarId
-from .product import native3_hypergraph
+from .graph import (IntGraph, InteractionGraph, NotSimpleGraphError, VarId,
+                    native3_graph)
 from .reports import DepthReport
 
 if TYPE_CHECKING:  # polynomials load only where one is built
@@ -211,7 +211,7 @@ def _exact_conflict_coloring(edges: list[Edge], adj) -> list[int]:
 EXACT_COLORING_LIMIT = 12
 
 
-def color_hyperedges(graph: InteractionGraph) -> dict[Edge, int]:
+def color_hyperedges(graph: InteractionGraph | IntGraph) -> dict[Edge, int]:
     """Layer hyperedges so that no two sharing a vertex get one color.
 
     Vertex-colors the conflict graph of the hyperedges: exactly (minimal
@@ -300,22 +300,25 @@ def build_schedule(
     return Schedule(tuple(layers), singles)
 
 
-def native3_report(instance: Instance) -> DepthReport:
-    """Depth of running the cubic encoding directly with three-qubit blocks.
+def native3_report(instance: Instance,
+                   graph: IntGraph | None = None) -> DepthReport:
+    """Depth of running the cubic encoding directly with three-qubit blocks
+    (`graph`: the instance's `native3_graph`, if the caller holds it).
 
     One gate block per distinct clause triple; blocks conflict when clauses
     share a variable.  The block count per variable lower-bounds the colors,
     so depth_lower = maxdeg + 1, with no Vizing-style +1 guarantee above it.
     """
-    graph = native3_hypergraph(instance)
+    graph = graph or native3_graph(instance)
     coloring = color_hyperedges(graph)
     num_colors = len(set(coloring.values())) if coloring else 0
-    delta = graph.max_degree() if graph.edges else 0
+    degrees = graph.degrees()
+    delta = max(degrees.values(), default=0)
     return DepthReport(
         formulation="native3",
-        num_problem_vars=len(graph.vertices),
+        num_problem_vars=len(degrees),
         num_ancillas=0,
-        num_qubits=len(graph.vertices),
+        num_qubits=len(degrees),
         num_interactions=len(graph.edges),
         max_degree=delta,
         depth_upper=num_colors + 1,

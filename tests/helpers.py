@@ -130,10 +130,9 @@ def enumerate_sat_assignments(num_vars, clauses):
 def random_3sat_instance(rng: random.Random, num_vars: int, num_clauses: int):
     """Random 3-SAT clauses over pairwise-distinct variable triples.
 
-    Keeping triples distinct within an instance makes closed-form degree
-    counts (which count clause occurrences) coincide with distinct-edge
-    graph degrees, so graph-equality tests stay exact.  Repeated-triple
-    behavior is exercised by dedicated tests instead.
+    Many seeded tests and acceptance criteria draw from this, so its draws
+    stay as they are; clauses that share a triple come from the draws in
+    `test_gvs` (hypothesis) and `test_optimize` (`draw_3sat`).
     """
     if num_vars < 3:
         raise ValueError("need at least 3 variables")

@@ -38,7 +38,8 @@ from qdepth.linear import (
     linear_report,
 )
 from qdepth.optimize import greedy_cover, solve_ip_exact
-from qdepth.product import native3_hypergraph, product_objective
+from qdepth.graph import native3_graph
+from qdepth.product import product_objective
 from qdepth.pubo import Polynomial, VarId
 from qdepth.schedule import build_schedule, color_edges, color_hyperedges, native3_report
 
@@ -160,8 +161,9 @@ def test_criterion_05_uf50_linear_depths():
 
 
 def test_criterion_06_degree_formulas_match_graphs():
-    """On 200 random instances and random covers, every closed-form degree
-    equals the constructed graph degree, for both formulations."""
+    """On 200 random instances and random covers, every degree in the
+    tables equals the degree in the graph of the expanded polynomials, for
+    both formulations."""
     rng = random.Random(606)
     with within(30.0, "criterion 6"):
         for _ in range(200):
@@ -251,7 +253,7 @@ def test_criterion_09_coloring_and_schedules():
                 qubits = [v for s in layer for v in s]
                 assert len(qubits) == len(set(qubits))
 
-        hyper = color_hyperedges(native3_hypergraph(example1()))
+        hyper = color_hyperedges(native3_graph(example1()))
         assert len(set(hyper.values())) == 4
         assert native3_report(example1()).depth_upper == 5
 

@@ -332,6 +332,43 @@ class TestRepeatedClauses:
         assert "num_clauses          4\n" in out
 
 
+class TestEmptyFormula:
+    """A formula with no clauses has nothing to substitute: Δ 0, and obj
+    alone in the program's objective."""
+
+    @pytest.mark.parametrize("method", ["linear", "native3", "gvs-greedy",
+                                        "gvs-ip"])
+    def test_analyze(self, method, tmp_path, capsys):
+        path = tmp_path / "empty.cnf"
+        path.write_text("p cnf 3 0\n")
+        assert main(["analyze", str(path), "--method", method,
+                     "--format", "json"]) == 0
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert report["max_degree"] == 0
+
+    def test_histogram(self, tmp_path, capsys):
+        path = tmp_path / "empty.cnf"
+        path.write_text("p cnf 3 0\n")
+        assert main(["histogram", str(path), "--method", "gvs-ip",
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["histogram"] == {}
+
+    def test_compare(self, tmp_path, capsys):
+        path = tmp_path / "empty.cnf"
+        path.write_text("p cnf 3 0\n")
+        assert main(["compare", str(path), "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert (row["linear_depth"], row["ip_depth"], row["greedy_depth"],
+                row["ip_status"]) == (2, 2, 2, "optimal")
+
+    def test_export(self, tmp_path, capsys):
+        path = tmp_path / "empty.cnf"
+        path.write_text("p cnf 3 0\n")
+        assert main(["export", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[:3] == [
+            "Minimize", " total: obj", "Subject To"]
+
+
 class TestFetch:
     def test_unknown_set_is_64(self, capsys):
         assert main(["fetch", "uf999", "--dest", "/tmp/nowhere"]) == 64
@@ -466,12 +503,12 @@ class TestImportBoundary:
 
 
 class TestWorkPerCommand:
-    """The CLI counts a gvs cover's degrees once for its table and report."""
+    """The CLI builds a gvs cover's graph once for its table and report."""
 
     @pytest.mark.parametrize("method,expected", [
-        ("gvs-greedy", {"_degree_counts": 1, "_validate": 1}),
-        # the solver's exact re-score counts the cover once more
-        ("gvs-ip", {"_degree_counts": 2, "_validate": 1}),
+        ("gvs-greedy", {"gvs_graph": 1, "_validate": 1}),
+        # the solver's exact re-score builds the cover's graph once more
+        ("gvs-ip", {"gvs_graph": 2, "_validate": 1}),
     ])
     def test_cover_counted_once(self, method, expected, monkeypatch, capsys):
         calls = {}

@@ -7,7 +7,6 @@ from qdepth.cnf import (
     DegenerateClauseError,
     DimacsError,
     DuplicateClauseWarning,
-    clause_incidence,
     example1,
     load_dimacs,
     make_instance,
@@ -51,15 +50,10 @@ def test_clause_spanning_lines_and_trailer():
     assert inst.clauses == ((1, -2, 3), (2, 3, -4))
 
 
-def test_clause_vars_and_incidence():
+def test_clause_vars():
     inst = example1()
-    assert inst.clause_vars(0) == {1, 2, 3}
-    inc = clause_incidence(inst)
-    assert inc[1] == (0, 1, 3)
-    assert inc[2] == (0, 2, 3)
-    assert inc[3] == (0, 1)
-    assert inc[4] == (1, 2)
-    assert inc[5] == (2, 3)
+    assert [inst.clause_vars(c) for c in range(4)] == [
+        {1, 2, 3}, {1, 3, 4}, {2, 4, 5}, {1, 2, 5}]
 
 
 def test_round_trip():

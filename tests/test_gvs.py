@@ -1,16 +1,16 @@
 import itertools
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdepth.cnf import DegenerateClauseError, example1, make_instance
+from qdepth.graph import linear_graph, native3_graph
 from qdepth.gvs import (
     Cover,
     InvalidCoverError,
-    cover_free_variables,
+    cover_graph,
     dualize_gvs,
     gvs_addends,
     gvs_degree_table,
@@ -22,10 +22,15 @@ from qdepth.gvs import (
     substitution_penalty,
     substitution_residuals,
 )
-from qdepth.linear import InvalidPenaltyError, linear_derived_graph, linear_report
-from qdepth.optimize import enumerate_exact, greedy_cover
-from qdepth.product import product_objective, quadratic_pairs
-from qdepth.pubo import Polynomial, VarId
+from qdepth.linear import (
+    InvalidPenaltyError,
+    linear_degree_table,
+    linear_derived_graph,
+    linear_report,
+)
+from qdepth.optimize import enumerate_exact, greedy_cover, solve_ip_exact
+from qdepth.product import clause_violation, product_objective, quadratic_pairs
+from qdepth.pubo import Polynomial, VarId, graph_union, interaction_graph
 
 from helpers import (
     brute_force_argmin,
@@ -45,7 +50,10 @@ class TestCover:
         assert cover.num_substitutions == 2
         assert cover.pairs == ((1, 3), (1, 3), (2, 5), (2, 5))
         assert cover.used == ((1, 3), (2, 5))
-        assert cover_free_variables(example1(), cover) == (2, 4, 4, 1)
+        # the variables left free are 2, 4, 4 and 1, each tied to its u
+        edges = gvs_derived_graph(example1(), cover).edges
+        for pair, free in (((1, 3), 2), ((1, 3), 4), ((2, 5), 4), ((2, 5), 1)):
+            assert frozenset((VarId.sub(pair), VarId.x(free))) in edges
 
     def test_pairs_stored_as_sorted_tuples(self):
         inst = example1()
@@ -215,7 +223,8 @@ class TestDegrees:
         assert gvs_max_degree(inst, example1_cover()) == 8
 
     def test_closed_form_matches_graph(self):
-        # the module's central property: formulas vs constructed union graph
+        # the module's central property: the integer graph's degrees vs the
+        # union graph of the expanded polynomials
         rng = random.Random(37)
         for trial in range(20):
             n = rng.randint(5, 8)
@@ -255,22 +264,23 @@ class TestDegrees:
 
 def reference_degree_table(instance, cover):
     """gvs_degree_table by per-variable scans over the used and quadratic
-    pairs, the way the closed form reads."""
+    pairs and the cover's distinct (pair, free variable) keys."""
     P = quadratic_pairs(instance)
     used = cover.used
-    free_counts = Counter(cover_free_variables(instance, cover))
-    cover_counts = Counter(cover.pairs)
+    keys = {(pair, min(instance.clause_vars(c) - set(pair)))
+            for c, pair in enumerate(cover.pairs)}
     table = {}
     for v in instance.used_variables():
         in_used = sum(1 for s in used if v in s)
         in_used_quadratic = sum(1 for s in used if v in s and s in P)
         in_quadratic = sum(1 for p in P if v in p)
+        free = sum(1 for _, f in keys if f == v)
         table[VarId.x(v)] = (
-            4 * in_used - in_used_quadratic + in_quadratic + free_counts[v]
+            4 * in_used - in_used_quadratic + in_quadratic + free
         )
     for pair in used:
         idx = tuple(sorted(pair))
-        table[VarId.sub(idx)] = 5 + cover_counts[pair]
+        table[VarId.sub(idx)] = 5 + sum(1 for p, _ in keys if p == pair)
         table[VarId.sub_slack(idx, 1)] = 3
         table[VarId.sub_slack(idx, 2)] = 2
         table[VarId.sub_slack(idx, 3)] = 2
@@ -339,6 +349,42 @@ class TestMaxDegree:
         inst, cover = case
         assert gvs_max_degree(inst, cover) == max(
             gvs_degree_table(inst, cover).values())
+
+
+class TestBuilderMatchesPolynomialGraphs:
+    """The integer graphs every table, Δ and edge count is read from, against
+    the graphs of the expanded polynomials, repeated variable triples
+    included; and the exact solver against enumeration on the same draws."""
+
+    @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(instance_and_cover())
+    def test_tables_and_edges_match(self, case):
+        inst, cover = case
+        lin = linear_derived_graph(inst)
+        assert linear_degree_table(inst) == lin.degrees()
+        assert len(linear_graph(inst).edges) == len(lin.edges)
+        sub = gvs_derived_graph(inst, cover)
+        assert gvs_degree_table(inst, cover) == sub.degrees()
+        assert len(cover_graph(inst, cover).edges) == len(sub.edges)
+        assert gvs_max_degree(inst, cover) == sub.max_degree()
+        # native3: the distinct cubic supports of the clause violations
+        cubic = graph_union(interaction_graph(clause_violation(clause))
+                            for clause in inst.clauses).edges
+        assert native3_graph(inst).edges == {
+            tuple(sorted(v.key[0] for v in e)) for e in cubic if len(e) == 3}
+
+    @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(instance_and_cover())
+    def test_ip_optimum_matches_enumeration(self, case):
+        inst, _ = case
+        by_ip = solve_ip_exact(inst)
+        by_enum = enumerate_exact(inst)
+        assert by_ip.status == "optimal"
+        assert by_ip.objective == by_enum.objective, inst.clauses
+        assert by_ip.max_degree == gvs_derived_graph(
+            inst, by_ip.cover).max_degree()
 
 
 class TestForeignCover:

@@ -11,7 +11,7 @@ from itertools import accumulate, chain
 import pytest
 
 from qdepth.cnf import example1, make_instance
-from qdepth.gvs import gvs_max_degree, make_cover
+from qdepth.gvs import gvs_derived_graph, gvs_max_degree, make_cover
 from qdepth.product import (
     candidate_pairs,
     covering_graph,
@@ -45,7 +45,9 @@ def row_by_name(model, name):
 
 def reference_ip(instance):
     """(names, objective, rows) of the pair-selection program, built by the
-    plain nested scans over variables, pairs, clauses and coverings."""
+    plain nested scans over variables, pairs, clauses and coverings.  The
+    degree rows count a (pair, free variable) key through its first
+    covering only; each later covering with that key is tied to it."""
     m = instance.num_clauses
     pairs = sorted(tuple(sorted(p)) for p in candidate_pairs(instance))
     quad = {tuple(sorted(p)) for p in quadratic_pairs(instance)}
@@ -59,8 +61,13 @@ def reference_ip(instance):
     names += [f"z_c{c.clause}_{tag(c.pair)}" for c in covs]
     y_index = {p: 1 + i for i, p in enumerate(pairs)}
     z_base = 1 + len(pairs)
-    # integer weights over the common denominator 10 |C|
-    objective = [10 * m] + [1] * len(pairs) + [0] * len(covs)
+    # integer weights over the common denominator 10 max(|C|, 1)
+    objective = [10 * max(m, 1)] + [1] * len(pairs) + [0] * len(covs)
+
+    def first(k):
+        key = (covs[k].pair, covs[k].free)
+        return next(j for j, cov in enumerate(covs)
+                    if (cov.pair, cov.free) == key)
 
     rows = []
     for a in instance.used_variables():
@@ -69,14 +76,14 @@ def reference_ip(instance):
             if a in p:
                 coeffs[y_index[p]] = Fraction(4 - (p in quad))
         for k, cov in enumerate(covs):
-            if cov.free == a:
+            if cov.free == a and first(k) == k:
                 coeffs[z_base + k] = Fraction(1)
         rhs = Fraction(-sum(1 for p in quad if a in p))
         rows.append((f"deg_v_{a}", tuple(sorted(coeffs.items())), "<=", rhs))
     for p in pairs:
         coeffs = {0: Fraction(-1)}
         for k, cov in enumerate(covs):
-            if tuple(sorted(cov.pair)) == p:
+            if tuple(sorted(cov.pair)) == p and first(k) == k:
                 coeffs[z_base + k] = Fraction(1)
         rows.append((f"deg_s_{tag(p)}", tuple(sorted(coeffs.items())), "<=",
                      Fraction(-5)))
@@ -85,6 +92,11 @@ def reference_ip(instance):
                   for k, cov in enumerate(covs) if cov.clause == c}
         rows.append((f"cover_c{c}", tuple(sorted(coeffs.items())), "=",
                      Fraction(1)))
+    for k, cov in enumerate(covs):
+        if first(k) != k:
+            coeffs = {z_base + first(k): Fraction(-1), z_base + k: Fraction(1)}
+            rows.append((f"repeat_c{cov.clause}_{tag(cov.pair)}",
+                         tuple(sorted(coeffs.items())), "=", Fraction(0)))
     for k, cov in enumerate(covs):
         coeffs = {z_base + k: Fraction(1),
                   y_index[tuple(sorted(cov.pair))]: Fraction(-1)}
@@ -466,14 +478,16 @@ class TestLimitedSolves:
 
     @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
     def test_limit_with_incumbent_is_feasible_bound(self, monkeypatch):
-        # stops at the first incumbent, 43.06, with dual bound 41.06
+        # stops at the first incumbent, 48.06, with dual bound 41.06 (the
+        # optimum); the draw repeats triples, and the program that ties them
+        # leads HiGHS to another first incumbent than the untied one's 43
         self.preset(monkeypatch, mip_max_improving_sols=1)
         inst = uf50_draw()
         sol = solve_ip_exact(inst)
         assert sol.status == "feasible_bound"
-        assert sol.max_degree == 43
+        assert sol.max_degree == 48
         assert sol.lower_bound == 41
-        assert gvs_max_degree(inst, sol.cover) == 43
+        assert gvs_max_degree(inst, sol.cover) == 48
         assert sol.objective == score_cover(inst, sol.cover)
 
     @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
@@ -628,6 +642,42 @@ class TestCompare:
                 assert deg >= opt.max_degree
 
 
+PROBE = [(1, 2, 3), (-1, 2, 3), (3, 4, 5)]
+
+
+class TestRepeatedTriples:
+    """Clauses on one variable triple that get one pair share their u-free
+    edge, and every reported Δ counts it once, as the graph has it."""
+
+    def test_probe_optimum(self):
+        inst = make_instance(PROBE)
+        sol = solve_ip_exact(inst)
+        # counting the shared u-x3 edge once per clause gave 7
+        assert sol.max_degree == 6
+        assert gvs_derived_graph(inst, sol.cover).max_degree() == 6
+        assert enumerate_exact(inst).objective == sol.objective
+
+    def test_probe_greedy_reports_its_graph(self):
+        inst = make_instance(PROBE)
+        covers = [greedy_cover(inst, seed) for seed in range(20)]
+        deltas = [gvs_derived_graph(inst, c).max_degree() for c in covers]
+        assert [gvs_max_degree(inst, c) for c in covers] == deltas
+        assert greedy_batch(inst, range(20)).depths == tuple(
+            d + 2 for d in deltas)
+
+    @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
+    @pytest.mark.parametrize("n,m,seed,delta", [
+        (20, 91, 6, 31), (20, 91, 11, 34), (50, 218, 6, 42)])
+    def test_optimum_counts_shared_edges_once(self, n, m, seed, delta):
+        # each draw has repeated triples; the per-clause count made every
+        # optimum here one higher
+        inst = draw_3sat(n, m, random.Random(seed))
+        sol = solve_ip_exact(inst)
+        assert sol.status == "optimal"
+        assert sol.max_degree == delta
+        assert gvs_derived_graph(inst, sol.cover).max_degree() == delta
+
+
 class TestScore:
     def test_score_matches_parts(self):
         inst = example1()
@@ -641,14 +691,14 @@ class TestWorkPerCover:
 
     def test_degrees_counted_once_per_cover(self, monkeypatch):
         calls = Counter()
-        for name in ("_degree_counts", "_validate"):
+        for name in ("gvs_graph", "_validate"):
             def counted(*args, _real=getattr(gvs, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)
 
             monkeypatch.setattr(gvs, name, counted)
         assert solve_ip_exact(example1()).max_degree == 8
-        assert calls == {"_degree_counts": 1}
+        assert calls == {"gvs_graph": 1}
         calls.clear()
         greedy_batch(example1(), range(5))
-        assert calls == {"_degree_counts": 5}
+        assert calls == {"gvs_graph": 5}

@@ -9,10 +9,10 @@ from qdepth.product import (
     clause_violation,
     covering_graph,
     coverings,
-    native3_hypergraph,
     product_objective,
     quadratic_pairs,
 )
+from qdepth.graph import native3_graph
 from qdepth.pubo import Polynomial, VarId, graph_union, interaction_graph
 
 from helpers import (
@@ -208,15 +208,15 @@ class TestPairSetMemo:
 
 class TestNative3:
     def test_example1_hypergraph(self):
-        h = native3_hypergraph(example1())
-        assert len(h.vertices) == 5
+        h = native3_graph(example1())
+        assert sorted(h.degrees()) == [1, 2, 3, 4, 5]
         assert len(h.edges) == 4
         assert all(len(e) == 3 for e in h.edges)
         # every pair of clauses shares a variable, so no two hyperedges are
         # disjoint and any proper coloring needs 4 colors
         edges = list(h.edges)
-        assert all(e1 & e2 for e1 in edges for e2 in edges)
+        assert all(set(e1) & set(e2) for e1 in edges for e2 in edges)
 
     def test_duplicate_triples_merge(self):
         inst = make_instance([(1, 2, 3), (-1, 2, -3)])
-        assert len(native3_hypergraph(inst).edges) == 1
+        assert native3_graph(inst).edges == {(1, 2, 3)}

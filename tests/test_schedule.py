@@ -7,7 +7,8 @@ from qdepth.cnf import example1, make_instance
 from qdepth.gvs import dualize_gvs, gvs_derived_graph, make_cover
 from qdepth.linear import dualize_linear, linear_derived_graph
 from qdepth.optimize import greedy_cover
-from qdepth.product import native3_hypergraph, product_objective
+from qdepth.graph import native3_graph
+from qdepth.product import product_objective
 from qdepth.pubo import (
     InteractionGraph,
     NotSimpleGraphError,
@@ -60,7 +61,7 @@ def pairwise_conflicts(edges):
     # conflict adjacency by testing every pair of edges; test-only oracle
     adj = [set() for _ in edges]
     for i, j in itertools.combinations(range(len(edges)), 2):
-        if edges[i] & edges[j]:
+        if set(edges[i]) & set(edges[j]):
             adj[i].add(j)
             adj[j].add(i)
     return adj
@@ -205,7 +206,7 @@ class TestEdgeColoring:
 
 class TestHyperedgeColoring:
     def test_example1_native_triples_need_four(self):
-        coloring = color_hyperedges(native3_hypergraph(example1()))
+        coloring = color_hyperedges(native3_graph(example1()))
         assert len(coloring) == 4
         assert len(set(coloring.values())) == 4
 
@@ -234,7 +235,7 @@ class TestHyperedgeColoring:
             ))
 
     def test_deterministic(self):
-        g = native3_hypergraph(example1())
+        g = native3_graph(example1())
         assert color_hyperedges(g) == color_hyperedges(g)
 
     @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
@@ -243,14 +244,14 @@ class TestHyperedgeColoring:
         # whose clauses share variable triples
         rng = random.Random(911)
         graphs = [random_graph(rng, max_vertices=60) for _ in range(40)]
-        graphs.append(native3_hypergraph(
+        graphs.append(native3_graph(
             make_instance([(1, 2, 3), (-1, 2, 3), (3, 4, 5)])))
         for n in (4, 5, 8, 20):
             for _ in range(3):
                 clauses = [tuple(v if rng.random() < 0.5 else -v
                                  for v in rng.sample(range(1, n + 1), 3))
                            for _ in range(round(4.26 * n))]
-                graphs.append(native3_hypergraph(make_instance(clauses)))
+                graphs.append(native3_graph(make_instance(clauses)))
         for g in graphs:
             edges = sorted(g.edges, key=lambda e: tuple(sorted(e)))
             assert _conflict_adjacency(edges) == pairwise_conflicts(edges)
