@@ -4,14 +4,15 @@ Degree tables, colorings and the command line need only which variables
 exist and which of them interact; they never need coefficient values.  This
 module holds that structure with no dependence on `fractions`, so a command
 that never builds a polynomial never loads the exact-arithmetic layer
-(`qdepth.pubo`, which re-exports `VarId`, `InteractionGraph` and
-`graph_union`).
+(`qdepth.pubo`, which re-exports `VarId`).
 
-`linear_graph`, `gvs_graph` and `native3_graph` build each encoding's
-graph as integer edges straight from the clause supports, each gate once
-however many clauses produce it; every reported degree, Δ and edge count is
-read from them.  The polynomial route (`linear_derived_graph`,
-`gvs_derived_graph`) builds the same graphs and stays as their check.
+`IntGraph` is the one graph type: vertices are integers, edges sorted int
+tuples.  `linear_graph`, `gvs_graph` and `native3_graph` build each
+encoding's graph straight from the clause supports, each gate once however
+many clauses produce it; every reported degree, Δ and edge count is read
+from them, and `qdepth.schedule` colors and layers them.  The polynomial
+route (`linear_derived_graph`, `gvs_derived_graph`) builds the same graphs,
+numbered the same way, and stays as their check.
 """
 
 from __future__ import annotations
@@ -110,51 +111,6 @@ def _join_indices(indices: tuple[int, ...]) -> str:
     return "_".join(str(i) for i in indices)
 
 
-class UnknownVertexError(KeyError):
-    """A degree query named a vertex the graph does not contain."""
-
-
-class NotSimpleGraphError(ValueError):
-    """An operation that needs a simple graph was given hyperedges."""
-
-
-class InteractionGraph(NamedTuple):
-    """Vertices and distinct (hyper)edges derived from monomial supports."""
-
-    vertices: frozenset[VarId]
-    edges: frozenset[frozenset[VarId]]
-
-    def degree(self, v: VarId) -> int:
-        if v not in self.vertices:
-            raise UnknownVertexError(f"unknown vertex {v!r}")
-        return sum(1 for e in self.edges if v in e)
-
-    def degrees(self) -> dict[VarId, int]:
-        out = {v: 0 for v in self.vertices}
-        for e in self.edges:
-            for v in e:
-                out[v] += 1
-        return out
-
-    def max_degree(self) -> int:
-        if not self.vertices:
-            return 0
-        return max(self.degrees().values())
-
-    def is_simple(self) -> bool:
-        return all(len(e) == 2 for e in self.edges)
-
-
-def graph_union(graphs: Iterable[InteractionGraph]) -> InteractionGraph:
-    """Union of vertex and edge sets across several interaction graphs."""
-    vertices: set[VarId] = set()
-    edges: set[frozenset[VarId]] = set()
-    for g in graphs:
-        vertices |= g.vertices
-        edges |= g.edges
-    return InteractionGraph(frozenset(vertices), frozenset(edges))
-
-
 class IntGraph(NamedTuple):
     """An encoding's interaction graph over integer vertices.
 
@@ -171,6 +127,9 @@ class IntGraph(NamedTuple):
 
     def max_degree(self) -> int:
         return max(self.degrees().values(), default=0)
+
+    def is_simple(self) -> bool:
+        return all(len(e) == 2 for e in self.edges)
 
     def degree_table(self, ancillas: Sequence[VarId] = ()) -> dict[VarId, int]:
         """Degrees by name, in vertex order: vertex i <= num_vars is x_i and

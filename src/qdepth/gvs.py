@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .cnf import Instance
-from .graph import IntGraph, InteractionGraph, VarId, graph_union, gvs_graph
+from .graph import IntGraph, VarId, gvs_graph
 from .product import Pair, clause_violation
 from .reports import DepthReport
 
@@ -144,13 +144,19 @@ def dualize_gvs(instance: Instance, cover: Cover, penalty=None) -> Polynomial:
     return total
 
 
-def gvs_derived_graph(instance: Instance, cover: Cover) -> InteractionGraph:
-    """Union of per-addend interaction graphs; independent of the penalty."""
-    from .pubo import interaction_graph
+def gvs_ancillas(cover: Cover) -> list[VarId]:
+    """Ancilla k of `gvs_graph`, by name: u, d1, d2, d3 per used pair."""
+    return [a for pair in cover.used
+            for a in (VarId.sub(pair), VarId.sub_slack(pair, 1),
+                      VarId.sub_slack(pair, 2), VarId.sub_slack(pair, 3))]
 
-    return graph_union(
-        interaction_graph(p) for p in gvs_addends(instance, cover, 1)
-    )
+
+def gvs_derived_graph(instance: Instance, cover: Cover) -> IntGraph:
+    """Union of per-addend interaction graphs; independent of the penalty."""
+    from .pubo import derived_graph
+
+    return derived_graph(gvs_addends(instance, cover, 1), instance.num_vars,
+                         gvs_ancillas(cover))
 
 
 def _validate(instance: Instance, cover: Cover) -> None:
@@ -174,10 +180,7 @@ def gvs_degree_table(instance: Instance, cover: Cover,
     """Degrees of every vertex of the substituted model (`graph`: the
     cover's `cover_graph`, if the caller holds it)."""
     graph = graph or cover_graph(instance, cover)
-    ancillas = [a for pair in cover.used
-                for a in (VarId.sub(pair), VarId.sub_slack(pair, 1),
-                          VarId.sub_slack(pair, 2), VarId.sub_slack(pair, 3))]
-    return graph.degree_table(ancillas)
+    return graph.degree_table(gvs_ancillas(cover))
 
 
 def gvs_max_degree(instance: Instance, cover: Cover) -> int:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .cnf import DegenerateClauseError, Instance
-from .graph import IntGraph, InteractionGraph, VarId, graph_union, linear_graph
+from .graph import IntGraph, VarId, linear_graph
 from .reports import DepthReport
 
 if TYPE_CHECKING:  # exact arithmetic loads only where a polynomial is built
@@ -100,14 +100,20 @@ def dualize_linear(instance: Instance, penalty=None) -> Polynomial:
     return total
 
 
-def linear_derived_graph(instance: Instance) -> InteractionGraph:
+def linear_ancillas(instance: Instance) -> list[VarId]:
+    """Ancilla k of `linear_graph`, by name: d_c1, d_c2, z_c per clause c."""
+    return [a for c in range(instance.num_clauses)
+            for a in (VarId.clause_slack(c, 1), VarId.clause_slack(c, 2),
+                      VarId.z(c))]
+
+
+def linear_derived_graph(instance: Instance) -> IntGraph:
     """Union of per-clause interaction graphs: one K6 per clause, overlapped
     on shared problem variables.  Independent of the penalty value."""
-    from .pubo import interaction_graph
+    from .pubo import derived_graph
 
-    return graph_union(
-        interaction_graph(addend) for addend in linear_addends(instance, 1)
-    )
+    return derived_graph(linear_addends(instance, 1), instance.num_vars,
+                         linear_ancillas(instance))
 
 
 def linear_degree_table(instance: Instance,
@@ -115,10 +121,7 @@ def linear_degree_table(instance: Instance,
     """Degrees of every vertex of the derived graph (`graph`: the
     instance's `linear_graph`, if the caller holds it)."""
     graph = graph or linear_graph(instance)
-    ancillas = [a for c in range(instance.num_clauses)
-                for a in (VarId.clause_slack(c, 1), VarId.clause_slack(c, 2),
-                          VarId.z(c))]
-    return graph.degree_table(ancillas)
+    return graph.degree_table(linear_ancillas(instance))
 
 
 def linear_max_degree(instance: Instance) -> int:

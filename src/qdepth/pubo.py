@@ -11,26 +11,22 @@ their term maps are equal.
 Coefficients are `fractions.Fraction`; there is no floating point anywhere in
 this module.
 
-The interaction graph of a polynomial has one vertex per variable that occurs
-in it and one (hyper)edge per distinct monomial support of size >= 2.  Only
-supports matter: scaling coefficients never changes the graph.  `VarId`,
-`InteractionGraph` and `graph_union` live in `qdepth.graph`, which needs no
-exact arithmetic, and are re-exported here.  No command of the command line
-builds a polynomial, so none loads this module; tests and oracles do.
+The interaction graph of a sum of polynomials has one (hyper)edge per
+distinct monomial support of size >= 2 among its addends.  Only supports
+matter: scaling coefficients never changes the graph.  `derived_graph`
+builds it as a `qdepth.graph.IntGraph`, numbering each variable as the
+encoding's degree table names it.  `VarId` lives in `qdepth.graph`, which
+needs no exact arithmetic, and is re-exported here.  No command of the
+command line builds a polynomial, so none loads this module; tests and
+oracles do.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .graph import (  # noqa: F401 - re-exported
-    InteractionGraph,
-    NotSimpleGraphError,
-    UnknownVertexError,
-    VarId,
-    graph_union,
-)
+from .graph import IntGraph, VarId
 
 Rational = int | Fraction
 
@@ -231,15 +227,15 @@ class MissingVariableError(KeyError):
     """An evaluation point left one of the polynomial's variables unbound."""
 
 
-def interaction_graph(p: Polynomial) -> InteractionGraph:
-    """One vertex per occurring variable, one edge per support of size >= 2.
-
-    Duplicate supports merge; coefficients are ignored entirely.
+def derived_graph(addends: Iterable[Polynomial], num_vars: int,
+                  ancillas: Sequence[VarId]) -> IntGraph:
+    """The union of the addends' interaction graphs, numbered as
+    `IntGraph.degree_table` names vertices: x_i is i and ancillas[k] is
+    num_vars + 1 + k.  Duplicate supports merge; coefficients are ignored,
+    so terms that cancel between addends keep their edges.
     """
-    vertices: set[VarId] = set()
-    edges: set[frozenset[VarId]] = set()
-    for support in p.supports():
-        vertices.update(support)
-        if len(support) >= 2:
-            edges.add(frozenset(support))
-    return InteractionGraph(frozenset(vertices), frozenset(edges))
+    vertex = {a: num_vars + 1 + k for k, a in enumerate(ancillas)}
+    vertex.update((VarId.x(i), i) for i in range(1, num_vars + 1))
+    return IntGraph(num_vars, frozenset(
+        tuple(sorted(vertex[v] for v in support))
+        for p in addends for support in p.supports() if len(support) >= 2))

@@ -13,9 +13,14 @@ from typing import NamedTuple
 class DepthReport(NamedTuple):
     """Depth facts for one formulation of one instance.
 
-    depth_upper comes from the scheduling bound for the formulation's
-    interaction structure; depth_lower is the matching lower bound when the
-    structure admits one (simple graphs), else None.
+    The bounds bracket the depth (cost layers plus one mixer layer) of
+    running the formulation's interaction graph, whose maximum degree is
+    max_degree = Δ.  The Δ gates at a vertex of degree Δ need Δ layers, so
+    every formulation sets depth_lower = Δ + 1.  depth_upper is
+      linear, gvs  Δ + 2: simple graphs, which Misra-Gries colors with at
+                   most Δ + 1 layers;
+      native3      the layers of its hyperedges' conflict-graph coloring
+                   plus one, with no Δ + 2 promise.
     """
 
     formulation: str

@@ -1,40 +1,44 @@
 """Gate layering: edge colorings and the schedules they induce.
 
-Every interaction term of a cost polynomial is one multi-qubit gate; gates
-sharing a qubit cannot fire in the same layer, so a depth-minimal layering
-of the quadratic terms is exactly a proper edge coloring of the interaction
-graph.  `color_edges` implements the Misra-Gries construction, which always
-lands within one color of the chromatic index (at most max degree + 1), in
+Every edge of an interaction graph (an `IntGraph`) is one multi-qubit gate;
+gates sharing a qubit cannot fire in the same layer, so a depth-minimal
+layering of a simple graph's gates is exactly a proper edge coloring.
+`color_edges` implements the Misra-Gries construction, which always lands
+within one color of the chromatic index (at most max degree + 1), in
 polynomial time and deterministically.  For cubic terms the interaction
 structure is a hypergraph; `color_hyperedges` colors its conflict graph,
-exactly for small inputs and greedily beyond that.
+exactly for small inputs and greedily beyond that.  Colorings and layers
+are keyed by the graph's own sorted int-tuple edges.
 
 A schedule adds one mixer layer after the cost layers, so its depth is the
 number of colors plus one.  Single-qubit rotations commute with everything
-diagonal and fold into neighbouring cost layers, so they are tracked but
-never counted toward depth.
+diagonal and fold into neighbouring cost layers; a graph holds none of them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .cnf import Instance
-from .graph import (IntGraph, InteractionGraph, NotSimpleGraphError, VarId,
-                    native3_graph)
+from .graph import IntGraph, native3_graph
 from .reports import DepthReport
 
-if TYPE_CHECKING:  # polynomials load only where one is built
-    from .pubo import Monomial, Polynomial
+Edge = tuple[int, ...]
 
-Edge = frozenset
+
+class NotSimpleGraphError(ValueError):
+    """An operation that needs a simple graph was given hyperedges."""
 
 
 class ImproperColoringError(ValueError):
-    """A supplied coloring misses terms or puts clashing gates in one layer."""
+    """A supplied coloring misses edges or puts clashing gates in one layer."""
 
 
-def color_edges(graph: InteractionGraph) -> dict[Edge, int]:
+def _edge(a: int, b: int) -> Edge:
+    return (a, b) if a < b else (b, a)
+
+
+def color_edges(graph: IntGraph) -> dict[Edge, int]:
     """Properly color a simple graph's edges with at most maxdeg+1 colors.
 
     Misra-Gries: for each uncolored edge, grow a fan around one endpoint,
@@ -47,14 +51,13 @@ def color_edges(graph: InteractionGraph) -> dict[Edge, int]:
     if not graph.edges:
         return {}
 
-    delta = graph.max_degree()
-    num_colors = delta + 1
+    num_colors = graph.max_degree() + 1
     # used[x][color] = neighbour reached from x by that color
-    used: dict[VarId, dict[int, VarId]] = {v: {} for v in graph.vertices}
+    used: dict[int, dict[int, int]] = {v: {} for e in graph.edges for v in e}
     colors: dict[Edge, int] = {}
 
-    def set_color(a: VarId, b: VarId, col: int) -> None:
-        e = frozenset((a, b))
+    def set_color(a: int, b: int, col: int) -> None:
+        e = _edge(a, b)
         old = colors.get(e)
         if old is not None:
             del used[a][old]
@@ -63,22 +66,21 @@ def color_edges(graph: InteractionGraph) -> dict[Edge, int]:
         used[a][col] = b
         used[b][col] = a
 
-    def uncolor(a: VarId, b: VarId) -> None:
-        e = frozenset((a, b))
-        old = colors.pop(e)
+    def uncolor(a: int, b: int) -> None:
+        old = colors.pop(_edge(a, b))
         del used[a][old]
         del used[b][old]
 
-    def free_color(x: VarId) -> int:
+    def free_color(x: int) -> int:
         for col in range(num_colors):
             if col not in used[x]:
                 return col
         raise AssertionError("vertex already has maxdeg+1 incident colors")
 
-    def is_free(col: int, x: VarId) -> bool:
+    def is_free(col: int, x: int) -> bool:
         return col not in used[x]
 
-    def maximal_fan(u: VarId, v: VarId) -> list[VarId]:
+    def maximal_fan(u: int, v: int) -> list[int]:
         # used[u] holds no v (the edge u-v is uncolored) and does not change
         # while the fan grows, so sort it once and drop each fan member
         around = sorted(used[u].items())
@@ -93,7 +95,7 @@ def color_edges(graph: InteractionGraph) -> dict[Edge, int]:
             else:
                 return fan
 
-    def invert_path(u: VarId, c: int, d: int) -> None:
+    def invert_path(u: int, c: int, d: int) -> None:
         # walk from u along edges alternating d, c, d, ...; c is free on u
         # so the component through u is a path, never a cycle
         path = []
@@ -107,8 +109,7 @@ def color_edges(graph: InteractionGraph) -> dict[Edge, int]:
         for a, b, col in path:
             set_color(a, b, c if col == d else d)
 
-    for e in sorted(graph.edges, key=lambda e: tuple(sorted(e))):
-        u, v = sorted(e)
+    for u, v in sorted(graph.edges):
         fan = maximal_fan(u, v)
         c = free_color(u)
         d = free_color(fan[-1])
@@ -119,7 +120,7 @@ def color_edges(graph: InteractionGraph) -> dict[Edge, int]:
         prefix_ok = True
         for i, w in enumerate(fan):
             if i > 0:
-                col = colors.get(frozenset((u, fan[i])))
+                col = colors.get(_edge(u, w))
                 prefix_ok = prefix_ok and col is not None and is_free(
                     col, fan[i - 1]
                 )
@@ -131,7 +132,7 @@ def color_edges(graph: InteractionGraph) -> dict[Edge, int]:
         # shift each fan edge's color one step toward the new edge, then
         # close the freed slot with d; uncolor first so the incidence maps
         # never hold a stale entry mid-rotation
-        shift = [colors[frozenset((u, fan[j]))] for j in range(1, w_index + 1)]
+        shift = [colors[_edge(u, w)] for w in fan[1:w_index + 1]]
         for j in range(1, w_index + 1):
             uncolor(u, fan[j])
         for j in range(w_index):
@@ -145,7 +146,7 @@ def _conflict_adjacency(edges: list[Edge]) -> list[set[int]]:
     # two edges conflict when they share a vertex, so each vertex's incident
     # edges are pairwise adjacent: the cost is the sum of squared degrees,
     # not a test of every pair of edges
-    incident: dict[VarId, list[int]] = {}
+    incident: dict[int, list[int]] = {}
     for i, e in enumerate(edges):
         for v in e:
             incident.setdefault(v, []).append(i)
@@ -211,13 +212,13 @@ def _exact_conflict_coloring(edges: list[Edge], adj) -> list[int]:
 EXACT_COLORING_LIMIT = 12
 
 
-def color_hyperedges(graph: InteractionGraph | IntGraph) -> dict[Edge, int]:
+def color_hyperedges(graph: IntGraph) -> dict[Edge, int]:
     """Layer hyperedges so that no two sharing a vertex get one color.
 
     Vertex-colors the conflict graph of the hyperedges: exactly (minimal
     color count) up to EXACT_COLORING_LIMIT edges, greedily above that.
     """
-    edges = sorted(graph.edges, key=lambda e: tuple(sorted(e)))
+    edges = sorted(graph.edges)
     adj = _conflict_adjacency(edges)
     if len(edges) <= EXACT_COLORING_LIMIT:
         assigned = _exact_conflict_coloring(edges, adj)
@@ -229,13 +230,10 @@ def color_hyperedges(graph: InteractionGraph | IntGraph) -> dict[Edge, int]:
 class Schedule(NamedTuple):
     """Layered gate plan: cost layers, then one mixer layer.
 
-    Each cost layer is a tuple of mutually qubit-disjoint interaction terms.
-    Single-qubit terms ride along with whichever layer touches their qubit
-    and are listed separately; they never add depth.
+    Each cost layer is a sorted tuple of mutually vertex-disjoint edges.
     """
 
-    cost_layers: tuple[tuple[Monomial, ...], ...]
-    single_qubit_terms: tuple[Monomial, ...]
+    cost_layers: tuple[tuple[Edge, ...], ...]
 
     @property
     def num_colors(self) -> int:
@@ -246,58 +244,52 @@ class Schedule(NamedTuple):
         return len(self.cost_layers) + 1
 
 
+def _name(edge: Edge) -> str:
+    return "-".join(map(str, edge))
+
+
 def build_schedule(
-    poly: Polynomial, coloring: dict[Edge, int] | None = None
+    graph: IntGraph, coloring: dict[Edge, int] | None = None
 ) -> Schedule:
-    """Group a polynomial's interaction terms into vertex-disjoint layers.
+    """Group a graph's edges into vertex-disjoint layers.
 
-    With no coloring supplied, one is computed from the polynomial's own
-    interaction structure (Misra-Gries when it is a simple graph).  A
-    supplied coloring must cover every term of size two or more exactly;
-    anything else raises ImproperColoringError.
+    With no coloring supplied, one is computed (Misra-Gries when the graph
+    is simple).  A supplied coloring must cover exactly the graph's edges,
+    keyed as they are; anything else raises ImproperColoringError.
     """
-    from .pubo import interaction_graph
-
-    multi = sorted(s for s in poly.supports() if len(s) >= 2)
-    singles = tuple(sorted(s for s in poly.supports() if len(s) == 1))
-
     if coloring is None:
-        graph = interaction_graph(poly)
         coloring = (
             color_edges(graph) if graph.is_simple() else color_hyperedges(graph)
         )
 
-    needed = {frozenset(s) for s in multi}
     have = set(coloring)
-    if needed - have:
-        missing = sorted(needed - have, key=lambda e: tuple(sorted(e)))[0]
+    if graph.edges - have:
+        missing = min(graph.edges - have)
+        raise ImproperColoringError(f"no color for edge {_name(missing)}")
+    if have - graph.edges:
+        extra = min(have - graph.edges)
         raise ImproperColoringError(
-            f"no color for term {'*'.join(v.name for v in sorted(missing))}"
-        )
-    if have - needed:
-        extra = sorted(have - needed, key=lambda e: tuple(sorted(e)))[0]
-        raise ImproperColoringError(
-            f"coloring mentions absent term {'*'.join(v.name for v in sorted(extra))}"
+            f"coloring mentions absent edge {_name(extra)}"
         )
 
-    by_color: dict[int, list[Monomial]] = {}
-    for s in multi:
-        by_color.setdefault(coloring[frozenset(s)], []).append(s)
+    by_color: dict[int, list[Edge]] = {}
+    for e in sorted(graph.edges):
+        by_color.setdefault(coloring[e], []).append(e)
 
     layers = []
     for col in sorted(by_color):
-        layer = sorted(by_color[col])
-        seen: set[VarId] = set()
-        for s in layer:
-            if seen & set(s):
-                clash = sorted(seen & set(s))[0]
+        layer = by_color[col]
+        seen: set[int] = set()
+        for e in layer:
+            if seen.intersection(e):
+                clash = min(seen.intersection(e))
                 raise ImproperColoringError(
-                    f"layer {col} uses qubit {clash.name} twice"
+                    f"layer {col} uses vertex {clash} twice"
                 )
-            seen.update(s)
+            seen.update(e)
         layers.append(tuple(layer))
 
-    return Schedule(tuple(layers), singles)
+    return Schedule(tuple(layers))
 
 
 def native3_report(instance: Instance,

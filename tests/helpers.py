@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from qdepth.pubo import InteractionGraph, Polynomial, VarId
+from qdepth.graph import IntGraph
+from qdepth.pubo import Polynomial
 
 
 def evaluate_all(poly: Polynomial, variables) -> tuple[np.ndarray, int]:
@@ -202,27 +203,27 @@ def canonical_instances(num_vars, num_clauses):
     return reps
 
 
-def random_graph(rng: random.Random, max_vertices: int = 60) -> InteractionGraph:
-    """Erdos-Renyi-ish simple graph over x variables, density drawn per graph."""
+def random_graph(rng: random.Random, max_vertices: int = 60) -> IntGraph:
+    """Erdos-Renyi-ish simple graph over vertices 1..n, density drawn per
+    graph."""
     n = rng.randint(2, max_vertices)
     p = rng.uniform(0.05, 0.6)
-    vs = [VarId.x(i) for i in range(1, n + 1)]
     edges = {
-        frozenset(pair)
-        for pair in itertools.combinations(vs, 2)
+        pair
+        for pair in itertools.combinations(range(1, n + 1), 2)
         if rng.random() < p
     }
-    return InteractionGraph(frozenset(vs), frozenset(edges))
+    return IntGraph(n, frozenset(edges))
 
 
-def assert_proper_edge_coloring(graph: InteractionGraph, coloring) -> None:
+def assert_proper_edge_coloring(graph: IntGraph, coloring) -> None:
     """Colored exactly the graph's edges, no clash at any vertex, <= maxdeg+1."""
     assert set(coloring) == set(graph.edges)
     incident: dict = {}
     for e, col in coloring.items():
         for v in e:
             key = (v, col)
-            assert key not in incident, f"color {col} repeats at {v.name}"
+            assert key not in incident, f"color {col} repeats at vertex {v}"
             incident[key] = e
     if coloring:
         assert len(set(coloring.values())) <= graph.max_degree() + 1

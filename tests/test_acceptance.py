@@ -25,6 +25,7 @@ import pytest
 from qdepth.cnf import example1, make_instance, parse_dimacs, to_dimacs
 from qdepth.gvs import (
     dualize_gvs,
+    gvs_ancillas,
     gvs_degree_table,
     gvs_derived_graph,
     gvs_max_degree,
@@ -32,6 +33,7 @@ from qdepth.gvs import (
 )
 from qdepth.linear import (
     dualize_linear,
+    linear_ancillas,
     linear_degree_table,
     linear_derived_graph,
     linear_max_degree,
@@ -40,7 +42,7 @@ from qdepth.linear import (
 from qdepth.optimize import greedy_cover, solve_ip_exact
 from qdepth.graph import native3_graph
 from qdepth.product import product_objective
-from qdepth.pubo import Polynomial, VarId
+from qdepth.pubo import VarId
 from qdepth.schedule import build_schedule, color_edges, color_hyperedges, native3_report
 
 from helpers import (
@@ -171,14 +173,18 @@ def test_criterion_06_degree_formulas_match_graphs():
             m = rng.randint(1, min(15, math.comb(n, 3)))
             inst = make_instance(random_3sat_instance(rng, n, m), num_vars=n)
 
-            lin_graph = linear_derived_graph(inst)
+            # the derived graphs' degrees, named through the same ancilla
+            # lists the tables use
+            lin_degrees = linear_derived_graph(inst).degree_table(
+                linear_ancillas(inst))
             for v, want in linear_degree_table(inst).items():
-                assert lin_graph.degree(v) == want
+                assert lin_degrees[v] == want
 
             cover = make_cover(inst, random_cover_choice(rng, inst))
-            gvs_graph = gvs_derived_graph(inst, cover)
+            gvs_degrees = gvs_derived_graph(inst, cover).degree_table(
+                gvs_ancillas(cover))
             for v, want in gvs_degree_table(inst, cover).items():
-                assert gvs_graph.degree(v) == want
+                assert gvs_degrees[v] == want
 
 
 def test_criterion_07_exact_solver_matches_enumeration():
@@ -243,14 +249,11 @@ def test_criterion_09_coloring_and_schedules():
             coloring = color_edges(g)
             assert_proper_edge_coloring(g, coloring)
 
-            poly = Polynomial({tuple(sorted(e)): 1 for e in g.edges})
-            sched = build_schedule(poly, coloring)
-            placed = [s for layer in sched.cost_layers for s in layer]
-            assert sorted(placed) == sorted(
-                s for s in poly.supports() if len(s) >= 2
-            )
+            sched = build_schedule(g, coloring)
+            placed = [e for layer in sched.cost_layers for e in layer]
+            assert sorted(placed) == sorted(g.edges)
             for layer in sched.cost_layers:
-                qubits = [v for s in layer for v in s]
+                qubits = [v for e in layer for v in e]
                 assert len(qubits) == len(set(qubits))
 
         hyper = color_hyperedges(native3_graph(example1()))

@@ -13,6 +13,7 @@ from qdepth.gvs import (
     cover_graph,
     dualize_gvs,
     gvs_addends,
+    gvs_ancillas,
     gvs_degree_table,
     gvs_derived_graph,
     gvs_max_degree,
@@ -24,15 +25,16 @@ from qdepth.gvs import (
 )
 from qdepth.linear import (
     InvalidPenaltyError,
-    linear_degree_table,
     linear_derived_graph,
     linear_report,
 )
 from qdepth.optimize import enumerate_exact, greedy_cover, solve_ip_exact
 from qdepth.product import clause_violation, product_objective, quadratic_pairs
-from qdepth.pubo import Polynomial, VarId, graph_union, interaction_graph
+from qdepth.pubo import Polynomial, VarId
+from qdepth.schedule import build_schedule, color_edges
 
 from helpers import (
+    assert_proper_edge_coloring,
     brute_force_argmin,
     brute_force_extrema,
     random_3sat_instance,
@@ -50,10 +52,12 @@ class TestCover:
         assert cover.num_substitutions == 2
         assert cover.pairs == ((1, 3), (1, 3), (2, 5), (2, 5))
         assert cover.used == ((1, 3), (2, 5))
-        # the variables left free are 2, 4, 4 and 1, each tied to its u
+        # the variables left free are 2, 4, 4 and 1, each tied to its u;
+        # u13 and u25 are vertices 6 and 10, after x1..x5 and u13's slacks
         edges = gvs_derived_graph(example1(), cover).edges
+        u = {(1, 3): 6, (2, 5): 10}
         for pair, free in (((1, 3), 2), ((1, 3), 4), ((2, 5), 4), ((2, 5), 1)):
-            assert frozenset((VarId.sub(pair), VarId.x(free))) in edges
+            assert (free, u[pair]) in edges
 
     def test_pairs_stored_as_sorted_tuples(self):
         inst = example1()
@@ -231,9 +235,10 @@ class TestDegrees:
             m = rng.randint(1, 7)
             inst = make_instance(random_3sat_instance(rng, n, m), num_vars=n)
             cover = make_cover(inst, random_cover_choice(rng, inst))
-            graph = gvs_derived_graph(inst, cover)
+            graph = gvs_derived_graph(inst, cover).degree_table(
+                gvs_ancillas(cover))
             for v, expected in gvs_degree_table(inst, cover).items():
-                assert graph.degree(v) == expected, (trial, v.name)
+                assert graph[v] == expected, (trial, v.name)
 
     def test_slack_degrees_always_2_or_3(self):
         rng = random.Random(41)
@@ -361,18 +366,15 @@ class TestBuilderMatchesPolynomialGraphs:
     @given(instance_and_cover())
     def test_tables_and_edges_match(self, case):
         inst, cover = case
-        lin = linear_derived_graph(inst)
-        assert linear_degree_table(inst) == lin.degrees()
-        assert len(linear_graph(inst).edges) == len(lin.edges)
-        sub = gvs_derived_graph(inst, cover)
-        assert gvs_degree_table(inst, cover) == sub.degrees()
-        assert len(cover_graph(inst, cover).edges) == len(sub.edges)
-        assert gvs_max_degree(inst, cover) == sub.max_degree()
+        # full edge sets over the same vertex numbering, so a merged or
+        # missing repeated-triple edge shows
+        assert linear_derived_graph(inst) == linear_graph(inst)
+        assert gvs_derived_graph(inst, cover) == cover_graph(inst, cover)
         # native3: the distinct cubic supports of the clause violations
-        cubic = graph_union(interaction_graph(clause_violation(clause))
-                            for clause in inst.clauses).edges
+        cubic = {s for clause in inst.clauses
+                 for s in clause_violation(clause).supports() if len(s) == 3}
         assert native3_graph(inst).edges == {
-            tuple(sorted(v.key[0] for v in e)) for e in cubic if len(e) == 3}
+            tuple(v.key[0] for v in s) for s in cubic}
 
     @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
     @settings(max_examples=100, deadline=None)
@@ -385,6 +387,27 @@ class TestBuilderMatchesPolynomialGraphs:
         assert by_ip.objective == by_enum.objective, inst.clauses
         assert by_ip.max_degree == gvs_derived_graph(
             inst, by_ip.cover).max_degree()
+
+
+class TestColoringTheBuiltGraphs:
+    """The graphs every report is read from color within Δ + 1 and schedule
+    into vertex-disjoint layers that place each edge once."""
+
+    @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(instance_and_cover())
+    def test_color_and_schedule(self, case):
+        inst, cover = case
+        simple = (linear_graph(inst), cover_graph(inst, cover))
+        for graph in simple:
+            assert_proper_edge_coloring(graph, color_edges(graph))
+        for graph in simple + (native3_graph(inst),):
+            sched = build_schedule(graph)
+            placed = [e for layer in sched.cost_layers for e in layer]
+            assert sorted(placed) == sorted(graph.edges)
+            for layer in sched.cost_layers:
+                qubits = [v for e in layer for v in e]
+                assert len(qubits) == len(set(qubits))
 
 
 class TestForeignCover:

@@ -10,12 +10,13 @@ from qdepth.linear import (
     default_penalty,
     dualize_linear,
     linear_addends,
+    linear_ancillas,
     linear_degree_table,
     linear_derived_graph,
     linear_max_degree,
     linear_report,
 )
-from qdepth.pubo import VarId, interaction_graph
+from qdepth.pubo import VarId
 
 from helpers import (
     brute_force_argmax,
@@ -114,7 +115,7 @@ class TestDerivedGraph:
     def test_per_clause_k6(self):
         inst = make_instance([(1, -2, 3)])
         g = linear_derived_graph(inst)
-        assert len(g.vertices) == 6
+        assert len(g.degrees()) == 6
         assert len(g.edges) == 15
         assert g.is_simple()
         assert g.max_degree() == 5
@@ -128,10 +129,13 @@ class TestDerivedGraph:
         assert obj.coefficient((VarId.x(1), VarId.x(2))) == 0
         assert obj.coefficient((VarId.x(1), VarId.x(3))) == 0
         g = linear_derived_graph(inst)
-        assert frozenset({VarId.x(1), VarId.x(2)}) in g.edges
-        assert frozenset({VarId.x(1), VarId.x(3)}) in g.edges
+        assert (1, 2) in g.edges
+        assert (1, 3) in g.edges
         # the graph of the summed polynomial is strictly smaller
-        assert interaction_graph(obj).edges < g.edges
+        union = {s for p in linear_addends(inst) for s in p.supports()
+                 if len(s) >= 2}
+        assert len(union) == len(g.edges)
+        assert {s for s in obj.supports() if len(s) >= 2} < union
 
     def test_example1_degrees(self):
         inst = example1()
@@ -146,9 +150,9 @@ class TestDerivedGraph:
             n = rng.randint(5, 7)
             m = rng.randint(1, 6)
             inst = make_instance(random_3sat_instance(rng, n, m), num_vars=n)
-            g = linear_derived_graph(inst)
+            g = linear_derived_graph(inst).degree_table(linear_ancillas(inst))
             for v, expected in linear_degree_table(inst).items():
-                assert g.degree(v) == expected, (trial, v)
+                assert g[v] == expected, (trial, v)
 
     def test_closed_form_with_repeated_triple(self):
         # same variable triple twice: repeat edges between problem variables
@@ -156,13 +160,15 @@ class TestDerivedGraph:
         inst = make_instance([(1, 2, 3), (-1, 2, -3)])
         g = linear_derived_graph(inst)
         assert linear_degree_table(inst)[VarId.x(1)] == 10 - 2
-        assert g.degree(VarId.x(1)) == 8
+        assert g.degrees()[1] == 8
 
     def test_graph_ignores_penalty(self):
         inst = example1()
         assert linear_derived_graph(inst) == linear_derived_graph(inst)
-        a = [interaction_graph(p) for p in linear_addends(inst, 1)]
-        b = [interaction_graph(p) for p in linear_addends(inst, 99)]
+        a = [{s for s in p.supports() if len(s) >= 2}
+             for p in linear_addends(inst, 1)]
+        b = [{s for s in p.supports() if len(s) >= 2}
+             for p in linear_addends(inst, 99)]
         assert a == b
 
 

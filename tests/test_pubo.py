@@ -3,15 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from qdepth.pubo import (
-    InteractionGraph,
-    MissingVariableError,
-    Polynomial,
-    UnknownVertexError,
-    VarId,
-    graph_union,
-    interaction_graph,
-)
+from qdepth.graph import IntGraph
+from qdepth.pubo import MissingVariableError, Polynomial, VarId, derived_graph
 
 from helpers import brute_force_extrema, interpolate_multilinear
 
@@ -156,41 +149,17 @@ class TestOracles:
         assert hi == max(seen)
 
 
-class TestInteractionGraph:
-    def test_example_pair_graph(self):
-        p = (1 - Polynomial.variable(X1)) * (1 - Polynomial.variable(X2))
-        g = interaction_graph(p)
-        assert g.vertices == frozenset({X1, X2})
-        assert g.edges == frozenset({frozenset({X1, X2})})
-        assert g.degree(X1) == 1
-        assert g.max_degree() == 1
-        assert g.is_simple()
+class TestDerivedGraph:
+    def test_numbering_and_merging(self):
+        # x_i is vertex i and ancillas[k] is num_vars + 1 + k; a support two
+        # addends share is one edge, and single-variable terms add none
+        p = Polynomial({(X1, U13): 5, (X1, X3): Fraction(-1, 7), (X1,): 3})
+        q = Polynomial({(X1, X3): 1, (U13, D, X2): 2})
+        g = derived_graph([p, q], 3, (U13, D))
+        assert g == IntGraph(3, frozenset({(1, 4), (1, 3), (2, 4, 5)}))
+        assert derived_graph([p * Fraction(2, 9), q], 3, (U13, D)) == g
 
-    def test_coefficients_do_not_matter(self):
-        p = Polynomial({(X1, X2): 5, (X1, X3): Fraction(-1, 7), (X1,): 3})
-        assert interaction_graph(p) == interaction_graph(p * Fraction(2, 9))
-        assert interaction_graph(p).degree(X1) == 2
-
-    def test_hyperedges(self):
-        p = Polynomial({(X1, X2, X3): 1, (X1, X2): 1})
-        g = interaction_graph(p)
-        assert not g.is_simple()
-        assert g.degree(X1) == 2
-        assert g.degree(X3) == 1
-
-    def test_unknown_vertex(self):
-        g = interaction_graph(Polynomial.variable(X1))
-        with pytest.raises(UnknownVertexError):
-            g.degree(X2)
-
-    def test_union_merges_duplicate_edges(self):
-        g1 = InteractionGraph(
-            frozenset({X1, X2}), frozenset({frozenset({X1, X2})})
-        )
-        g2 = InteractionGraph(
-            frozenset({X1, X2, X3}),
-            frozenset({frozenset({X1, X2}), frozenset({X2, X3})}),
-        )
-        merged = graph_union([g1, g2])
-        assert merged.degree(X2) == 2
-        assert len(merged.edges) == 2
+    def test_cancelled_terms_keep_their_edges(self):
+        p = Polynomial({(X1, X2): 1})
+        assert derived_graph([p, -p], 2, ()).edges == {(1, 2)}
+        assert derived_graph([p - p], 2, ()).edges == frozenset()

@@ -4,21 +4,15 @@ import random
 import pytest
 
 from qdepth.cnf import example1, make_instance
-from qdepth.gvs import dualize_gvs, gvs_derived_graph, make_cover
-from qdepth.linear import dualize_linear, linear_derived_graph
+from qdepth.gvs import cover_graph, gvs_derived_graph, make_cover
+from qdepth.linear import linear_derived_graph
 from qdepth.optimize import greedy_cover
-from qdepth.graph import native3_graph
+from qdepth.graph import IntGraph, linear_graph, native3_graph
 from qdepth.product import product_objective
-from qdepth.pubo import (
-    InteractionGraph,
-    NotSimpleGraphError,
-    Polynomial,
-    VarId,
-    interaction_graph,
-)
+from qdepth.pubo import Polynomial, derived_graph
 from qdepth.schedule import (
     ImproperColoringError,
-    Schedule,
+    NotSimpleGraphError,
     _conflict_adjacency,
     build_schedule,
     color_edges,
@@ -34,11 +28,8 @@ from helpers import (
 
 
 def graph_of(*edges):
-    vs = {v for e in edges for v in e}
-    return InteractionGraph(
-        frozenset(VarId.x(v) for v in vs),
-        frozenset(frozenset(VarId.x(v) for v in e) for e in edges),
-    )
+    return IntGraph(max((v for e in edges for v in e), default=0),
+                    frozenset(tuple(sorted(e)) for e in edges))
 
 
 def min_conflict_colors(edges):
@@ -46,7 +37,7 @@ def min_conflict_colors(edges):
     n = len(edges)
     conflicts = [
         (i, j) for i, j in itertools.combinations(range(n), 2)
-        if edges[i] & edges[j]
+        if set(edges[i]) & set(edges[j])
     ]
     if n == 0:
         return 0
@@ -70,7 +61,7 @@ def pairwise_conflicts(edges):
 def reference_color_edges(graph):
     """Misra-Gries whose every fan step re-sorts the colors around u and
     tests fan membership in a set."""
-    used = {v: {} for v in graph.vertices}
+    used = {v: {} for e in graph.edges for v in e}
     colors = {}
     num_colors = graph.max_degree() + 1
 
@@ -103,8 +94,7 @@ def reference_color_edges(graph):
             else:
                 return fan
 
-    for e in sorted(graph.edges, key=lambda e: tuple(sorted(e))):
-        u, v = sorted(e)
+    for u, v in sorted(graph.edges):
         fan = maximal_fan(u, v)
         c, d = free_color(u), free_color(fan[-1])
         path, x, col = [], u, d
@@ -131,7 +121,7 @@ def reference_color_edges(graph):
         for j in range(w_index):
             set_color(u, fan[j], shift[j])
         set_color(u, fan[w_index], d)
-    return colors
+    return {tuple(sorted(e)): col for e, col in colors.items()}
 
 
 class TestEdgeColoring:
@@ -163,8 +153,7 @@ class TestEdgeColoring:
         assert len(set(coloring.values())) <= 4
 
     def test_empty_graph(self):
-        g = InteractionGraph(frozenset({VarId.x(1)}), frozenset())
-        assert color_edges(g) == {}
+        assert color_edges(IntGraph(1, frozenset())) == {}
 
     def test_single_edge(self):
         coloring = color_edges(graph_of((1, 2)))
@@ -198,7 +187,7 @@ class TestEdgeColoring:
             assert color_edges(g) == reference_color_edges(g)
 
     def test_example1_linear_graph_colors(self):
-        g = interaction_graph(dualize_linear(example1()))
+        g = linear_graph(example1())
         coloring = color_edges(g)
         assert_proper_edge_coloring(g, coloring)
         assert len(set(coloring.values())) <= 14
@@ -222,17 +211,11 @@ class TestHyperedgeColoring:
             edges = []
             for _ in range(n):
                 size = rng.choice((2, 3))
-                edges.append(
-                    frozenset(VarId.x(v) for v in rng.sample(range(1, 8), size))
-                )
-            edges = list(dict.fromkeys(edges))
-            vs = frozenset(v for e in edges for v in e)
-            g = InteractionGraph(vs, frozenset(edges))
+                edges.append(tuple(sorted(rng.sample(range(1, 8), size))))
+            g = IntGraph(7, frozenset(edges))
             coloring = color_hyperedges(g)
             used = len(set(coloring.values()))
-            assert used == min_conflict_colors(sorted(
-                g.edges, key=lambda e: tuple(sorted(e))
-            ))
+            assert used == min_conflict_colors(sorted(g.edges))
 
     def test_deterministic(self):
         g = native3_graph(example1())
@@ -253,7 +236,7 @@ class TestHyperedgeColoring:
                            for _ in range(round(4.26 * n))]
                 graphs.append(native3_graph(make_instance(clauses)))
         for g in graphs:
-            edges = sorted(g.edges, key=lambda e: tuple(sorted(e)))
+            edges = sorted(g.edges)
             assert _conflict_adjacency(edges) == pairwise_conflicts(edges)
 
 
@@ -261,70 +244,46 @@ class TestSchedule:
     def test_layers_cover_terms_disjointly(self):
         inst = example1()
         cover = make_cover(inst, [(1, 3), (1, 3), (2, 5), (2, 5)])
-        poly = dualize_gvs(inst, cover)
-        sched = build_schedule(poly)
-        placed = [s for layer in sched.cost_layers for s in layer]
-        assert sorted(placed) == sorted(
-            s for s in poly.supports() if len(s) >= 2
-        )
+        graph = cover_graph(inst, cover)
+        sched = build_schedule(graph)
+        placed = [e for layer in sched.cost_layers for e in layer]
+        assert sorted(placed) == sorted(graph.edges)
         for layer in sched.cost_layers:
-            qubits = [v for s in layer for v in s]
+            qubits = [v for e in layer for v in e]
             assert len(qubits) == len(set(qubits))
         assert sched.depth == sched.num_colors + 1
         # max degree 8, so at most 9 interaction layers
         assert sched.num_colors <= 9
-        assert all(len(s) == 1 for s in sched.single_qubit_terms)
 
     def test_hypergraph_polynomial_schedules_too(self):
-        poly = product_objective(example1())
-        sched = build_schedule(poly)
-        placed = [s for layer in sched.cost_layers for s in layer]
-        assert sorted(placed) == sorted(
-            s for s in poly.supports() if len(s) >= 2
-        )
+        # the product form mixes pair edges with clause triples
+        graph = derived_graph([product_objective(example1())], 5, ())
+        assert not graph.is_simple()
+        sched = build_schedule(graph)
+        placed = [e for layer in sched.cost_layers for e in layer]
+        assert sorted(placed) == sorted(graph.edges)
 
     def test_empty_polynomial(self):
-        sched = build_schedule(Polynomial.zero())
+        sched = build_schedule(derived_graph([Polynomial.zero()], 0, ()))
         assert sched.cost_layers == ()
         assert sched.depth == 1
 
     def test_constant_polynomial(self):
-        assert build_schedule(Polynomial.constant(3)).depth == 1
-
-    def test_single_qubit_terms_do_not_add_depth(self):
-        x1 = Polynomial.variable(VarId.x(1))
-        x2 = Polynomial.variable(VarId.x(2))
-        sched = build_schedule(x1 + 2 * x2)
-        assert sched.depth == 1
-        assert len(sched.single_qubit_terms) == 2
+        graph = derived_graph([Polynomial.constant(3)], 0, ())
+        assert build_schedule(graph).depth == 1
 
     def test_missing_color_rejected(self):
-        x1 = Polynomial.variable(VarId.x(1))
-        x2 = Polynomial.variable(VarId.x(2))
-        with pytest.raises(ImproperColoringError, match="no color"):
-            build_schedule(x1 * x2, coloring={})
+        with pytest.raises(ImproperColoringError, match="no color for edge 1-2"):
+            build_schedule(graph_of((1, 2)), coloring={})
 
     def test_extra_color_key_rejected(self):
-        x1 = Polynomial.variable(VarId.x(1))
-        x2 = Polynomial.variable(VarId.x(2))
-        bogus = frozenset((VarId.x(8), VarId.x(9)))
-        with pytest.raises(ImproperColoringError, match="absent term"):
-            build_schedule(
-                x1 * x2,
-                coloring={frozenset((VarId.x(1), VarId.x(2))): 0, bogus: 1},
-            )
+        with pytest.raises(ImproperColoringError, match="absent edge 8-9"):
+            build_schedule(graph_of((1, 2)), coloring={(1, 2): 0, (8, 9): 1})
 
     def test_clashing_layer_rejected(self):
-        x1 = Polynomial.variable(VarId.x(1))
-        x2 = Polynomial.variable(VarId.x(2))
-        x3 = Polynomial.variable(VarId.x(3))
-        poly = x1 * x2 + x2 * x3
-        bad = {
-            frozenset((VarId.x(1), VarId.x(2))): 0,
-            frozenset((VarId.x(2), VarId.x(3))): 0,
-        }
-        with pytest.raises(ImproperColoringError, match="twice"):
-            build_schedule(poly, coloring=bad)
+        graph = graph_of((1, 2), (2, 3))
+        with pytest.raises(ImproperColoringError, match="vertex 2 twice"):
+            build_schedule(graph, coloring={(1, 2): 0, (2, 3): 0})
 
 
 class TestNativeReport:
