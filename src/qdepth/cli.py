@@ -19,12 +19,12 @@ given to -o are written atomically (temp file plus rename).
 Each command imports only the modules its path runs.  Parsing the command
 line loads `cnf` alone and builds only the named command's subparser;
 `inspect` adds `product`, and `export` adds `product` and `ipmodel`.  The
-`linear` and `native3` methods add `product`, `graph`, `reports` and
-`linear` or `schedule`; `gvs-greedy` adds `product`, `graph`, `reports`,
-`gvs` and `greedy`; `gvs-ip` adds those and `ipmodel`, `optimize` and
-`fractions`, and `compare` adds those and `linear`.  `json` and `csv` load
-only for their formats, and no command builds a polynomial, so none loads
-`pubo`.
+`linear` method adds `product`, `graph` and `reports`, which build every
+method's graph and report, and `native3` adds `schedule` to them;
+`gvs-greedy` adds `gvs` and `greedy`; `gvs-ip` and `compare` add those and
+`ipmodel`, `optimize` and `fractions`.  `json` and `csv` load only for
+their formats, and no command builds a polynomial, so none loads `pubo` or
+`linear`.
 """
 
 from __future__ import annotations
@@ -217,30 +217,28 @@ def write_out(text: str, output: Path | None) -> None:
 def run_method(inst: Instance, args):
     """The one dispatch over METHODS, importing only what the method runs.
 
-    Returns (degree table, report builder, exit code).  The method's graph
-    is built once, for the table and the report.  The builder makes the
-    DepthReport, degrees included, only when called, so `histogram` never
-    pays for it.  Exits with EXIT_BUDGET when the exact solve finds no cover
-    within the budget.
+    Picks the method's graph, built once, and its ancilla names, and reads
+    the degree table and the report from it.  Returns (degree table,
+    DepthReport, exit code).  Exits with EXIT_BUDGET when the exact solve
+    finds no cover within the budget.
     """
-    from functools import partial
+    from .graph import (gvs_ancillas, linear_ancillas, linear_graph,
+                         native3_graph)
+    from .reports import graph_report
 
     fields = {}
+    ancillas = ()
     exit_code = EXIT_OK
     if args.method == "linear":
-        from .linear import linear_degree_table, linear_graph, linear_report
-
         graph = linear_graph(inst)
-        table = linear_degree_table(inst, graph)
-        build = partial(linear_report, inst, graph)
+        ancillas = linear_ancillas(inst)
     elif args.method == "native3":
-        from .schedule import native3_graph, native3_report
+        from .schedule import native3_layers
 
         graph = native3_graph(inst)
-        table = graph.degree_table()
-        build = partial(native3_report, inst, graph)
+        fields["depth_upper"] = native3_layers(graph) + 1
     else:
-        from .gvs import cover_graph, gvs_degree_table, gvs_report
+        from .gvs import cover_graph
 
         if args.method == "gvs-greedy":
             from .greedy import greedy_cover
@@ -261,15 +259,12 @@ def run_method(inst: Instance, args):
             fields["solver_status"] = sol.status
             if sol.status != "optimal":
                 exit_code = EXIT_BUDGET
-        fields["formulation"] = args.method
         graph = cover_graph(inst, cover)
-        table = gvs_degree_table(inst, cover, graph)
-        build = partial(gvs_report, inst, cover, graph)
-
-    def report():
-        degrees = tuple((v.name, d) for v, d in sorted(table.items()))
-        return build()._replace(degrees=degrees, **fields)
-
+        ancillas = gvs_ancillas(cover.pairs)
+        fields["substitutions"] = cover.num_substitutions
+    table = graph.degree_table(ancillas)
+    degrees = tuple((v.name, d) for v, d in sorted(table.items()))
+    report = graph_report(args.method, graph, degrees=degrees, **fields)
     return table, report, exit_code
 
 
@@ -302,18 +297,18 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .reports import depth_report_text, reports_to_json
+    from .reports import depth_report_text, records_to_json
 
     name, inst = load_instance(args.instance)
     started = time.perf_counter()
-    _, make_report, exit_code = run_method(inst, args)
-    report = make_report()
+    _, report, exit_code = run_method(inst, args)
     if args.timings:
-        report = report.with_wall_time(time.perf_counter() - started)
+        report = report._replace(wall_time=time.perf_counter() - started)
 
     if args.format == "json":
-        text = reports_to_json(
-            [report], command="analyze", instance=name, method=args.method
+        text = records_to_json(
+            "reports", [report.to_dict()], command="analyze", instance=name,
+            method=args.method,
         )
     else:
         text = depth_report_text(report)
@@ -323,7 +318,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_compare(args) -> int:
     from .optimize import compare_instance
-    from .reports import comparison_table_text, rows_to_csv, rows_to_json
+    from .reports import comparison_table_text, records_to_json, rows_to_csv
 
     rows = []
     for source in args.instances:
@@ -335,9 +330,9 @@ def cmd_compare(args) -> int:
             )
         )
     if args.format == "json":
-        text = rows_to_json(
-            rows, command="compare", budget_secs=args.budget,
-            num_seeds=args.seeds,
+        text = records_to_json(
+            "rows", [r._asdict() for r in rows], command="compare",
+            budget_secs=args.budget, num_seeds=args.seeds,
         )
     elif args.format == "csv":
         text = rows_to_csv(rows)

@@ -9,10 +9,12 @@ that never builds a polynomial never loads the exact-arithmetic layer
 `IntGraph` is the one graph type: vertices are integers, edges sorted int
 tuples.  `linear_graph`, `gvs_graph` and `native3_graph` build each
 encoding's graph straight from the clause supports, each gate once however
-many clauses produce it; every reported degree, Δ and edge count is read
-from them, and `qdepth.schedule` colors and layers them.  The polynomial
-route (`linear_derived_graph`, `gvs_derived_graph`) builds the same graphs,
-numbered the same way, and stays as their check.
+many clauses produce it, and `linear_ancillas` and `gvs_ancillas` name the
+ancilla vertices they number.  Every report, degree table, Δ and edge count
+is read from these graphs (`qdepth.reports.graph_report`), and
+`qdepth.schedule` colors and layers them.  The polynomial route
+(`linear_derived_graph`, `gvs_derived_graph`) builds the same graphs,
+numbered through the same names, and stays as their check.
 """
 
 from __future__ import annotations
@@ -156,6 +158,13 @@ def linear_graph(instance: Instance) -> IntGraph:
     return IntGraph(n, frozenset(edges))
 
 
+def linear_ancillas(instance: Instance) -> list[VarId]:
+    """Ancilla k of `linear_graph`, by name: d_c1, d_c2, z_c per clause c."""
+    return [a for c in range(instance.num_clauses)
+            for a in (VarId.clause_slack(c, 1), VarId.clause_slack(c, 2),
+                      VarId.z(c))]
+
+
 def gvs_graph(instance: Instance, pairs: Sequence[Pair]) -> IntGraph:
     """The pair-substituted encoding of a cover, pairs[c] within clause c.
 
@@ -177,6 +186,13 @@ def gvs_graph(instance: Instance, pairs: Sequence[Pair]) -> IntGraph:
                       (j, u + 3)))
     edges.update((free, u_of[pair]) for pair, free in keys)
     return IntGraph(n, frozenset(edges))
+
+
+def gvs_ancillas(pairs: Sequence[Pair]) -> list[VarId]:
+    """Ancilla k of `gvs_graph`, by name: u, d1, d2, d3 per used pair."""
+    return [a for pair in sorted(set(pairs))
+            for a in (VarId.sub(pair), VarId.sub_slack(pair, 1),
+                      VarId.sub_slack(pair, 2), VarId.sub_slack(pair, 3))]
 
 
 def native3_graph(instance: Instance) -> IntGraph:

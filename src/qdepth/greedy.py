@@ -15,7 +15,8 @@ from bisect import bisect_left, insort
 from typing import Iterable, NamedTuple
 
 from .cnf import Instance
-from .gvs import Cover, _max_degree, make_cover
+from .graph import gvs_graph
+from .gvs import Cover, make_cover
 from .product import Pair, covering_graph
 
 
@@ -111,6 +112,6 @@ def greedy_batch(
     depths, subs = [], []
     for seed in seeds:
         cover = _greedy_from_index(instance, index, random.Random(seed))
-        depths.append(_max_degree(instance, cover) + 2)
+        depths.append(gvs_graph(instance, cover.pairs).max_degree() + 2)
         subs.append(cover.num_substitutions)
     return GreedySummary(tuple(depths), tuple(subs))

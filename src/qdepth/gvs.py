@@ -22,10 +22,12 @@ wrong u covering two clauses would pay 1 and save 2, driving the minimum
 below zero on a satisfiable instance.
 
 The derived graph is again the union of the per-addend graphs;
-`graph.gvs_graph` builds it over integers, and tables, Δ and edge counts
-are read from it.  A used pair's penalty block gives its u degree 5 and its
-slacks 3, 2 and 2, and each distinct (pair, free variable) key adds one
-u-free edge: clauses on one variable triple with one pair share it.
+`graph.gvs_graph` builds it over integers, and `cover_graph` builds it
+after checking the cover; `gvs_report` and `gvs_degree_table` read it, and
+callers read Δ as `cover_graph(...).max_degree()`.  A used pair's penalty
+block gives its u degree 5 and its slacks 3, 2 and 2, and each distinct
+(pair, free variable) key adds one u-free edge: clauses on one variable
+triple with one pair share it.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .cnf import Instance
-from .graph import IntGraph, VarId, gvs_graph
+from .graph import IntGraph, VarId, gvs_ancillas, gvs_graph
 from .product import Pair, clause_violation
-from .reports import DepthReport
+from .reports import DepthReport, graph_report
 
 if TYPE_CHECKING:  # polynomials load only where one is built
     from .pubo import Polynomial
@@ -123,7 +125,7 @@ def gvs_addends(instance: Instance, cover: Cover, penalty=None) -> tuple[Polynom
     """Substituted clauses (in clause order) then penalty blocks (sorted pairs)."""
     from .linear import checked_penalty
 
-    _validate(instance, cover)
+    make_cover(instance, cover.pairs)
     lam = checked_penalty(instance, penalty)
     out = [
         substitute_clause(clause, pair)
@@ -144,65 +146,26 @@ def dualize_gvs(instance: Instance, cover: Cover, penalty=None) -> Polynomial:
     return total
 
 
-def gvs_ancillas(cover: Cover) -> list[VarId]:
-    """Ancilla k of `gvs_graph`, by name: u, d1, d2, d3 per used pair."""
-    return [a for pair in cover.used
-            for a in (VarId.sub(pair), VarId.sub_slack(pair, 1),
-                      VarId.sub_slack(pair, 2), VarId.sub_slack(pair, 3))]
-
-
 def gvs_derived_graph(instance: Instance, cover: Cover) -> IntGraph:
     """Union of per-addend interaction graphs; independent of the penalty."""
     from .pubo import derived_graph
 
     return derived_graph(gvs_addends(instance, cover, 1), instance.num_vars,
-                         gvs_ancillas(cover))
-
-
-def _validate(instance: Instance, cover: Cover) -> None:
-    """A cover made for another instance fails here as it would in make_cover."""
-    make_cover(instance, cover.pairs)
-
-
-def _max_degree(instance: Instance, cover: Cover) -> int:
-    """Δ of a cover fresh from `make_cover`, without checking it again."""
-    return gvs_graph(instance, cover.pairs).max_degree()
+                         gvs_ancillas(cover.pairs))
 
 
 def cover_graph(instance: Instance, cover: Cover) -> IntGraph:
-    """The cover's interaction graph, after checking the cover."""
-    _validate(instance, cover)
+    """The cover's interaction graph, after checking the cover: one made
+    for another instance fails here as it would in make_cover."""
+    make_cover(instance, cover.pairs)
     return gvs_graph(instance, cover.pairs)
 
 
-def gvs_degree_table(instance: Instance, cover: Cover,
-                     graph: IntGraph | None = None) -> dict[VarId, int]:
-    """Degrees of every vertex of the substituted model (`graph`: the
-    cover's `cover_graph`, if the caller holds it)."""
-    graph = graph or cover_graph(instance, cover)
-    return graph.degree_table(gvs_ancillas(cover))
+def gvs_degree_table(instance: Instance, cover: Cover) -> dict[VarId, int]:
+    """Degrees of every vertex of the substituted model, by name."""
+    return cover_graph(instance, cover).degree_table(gvs_ancillas(cover.pairs))
 
 
-def gvs_max_degree(instance: Instance, cover: Cover) -> int:
-    return cover_graph(instance, cover).max_degree()
-
-
-def gvs_report(instance: Instance, cover: Cover,
-               graph: IntGraph | None = None) -> DepthReport:
-    """`graph`: the cover's `cover_graph`, if the caller holds it; without
-    it the cover is checked here."""
-    graph = graph or cover_graph(instance, cover)
-    delta = graph.max_degree()
-    used_vars = instance.used_variables()
-    num_subs = cover.num_substitutions
-    return DepthReport(
-        formulation="gvs",
-        num_problem_vars=len(used_vars),
-        num_ancillas=4 * num_subs,
-        num_qubits=len(used_vars) + 4 * num_subs,
-        num_interactions=len(graph.edges),
-        max_degree=delta,
-        depth_upper=delta + 2,
-        depth_lower=delta + 1,
-        substitutions=num_subs,
-    )
+def gvs_report(instance: Instance, cover: Cover) -> DepthReport:
+    return graph_report("gvs", cover_graph(instance, cover),
+                        substitutions=cover.num_substitutions)

@@ -21,7 +21,10 @@ two slacks, one indicator) and its square contains every pair of them, so
 per clause the graph is a complete K6.  Equal and opposite cross-clause
 quadratic terms can cancel in the summed polynomial; those gates still run,
 so the union, not the sum, is what the hardware sees.  `graph.linear_graph`
-builds that union over integers; tables, Δ and edge counts are read from it.
+builds that union over integers, and `linear_report` and
+`linear_degree_table` read it; the command line reads the same graph
+without loading this module, which keeps the polynomials and their oracle
+`linear_derived_graph`.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .cnf import DegenerateClauseError, Instance
-from .graph import IntGraph, VarId, linear_graph
-from .reports import DepthReport
+from .graph import IntGraph, VarId, linear_ancillas, linear_graph
+from .reports import DepthReport, graph_report
 
 if TYPE_CHECKING:  # exact arithmetic loads only where a polynomial is built
     from fractions import Fraction
@@ -100,13 +103,6 @@ def dualize_linear(instance: Instance, penalty=None) -> Polynomial:
     return total
 
 
-def linear_ancillas(instance: Instance) -> list[VarId]:
-    """Ancilla k of `linear_graph`, by name: d_c1, d_c2, z_c per clause c."""
-    return [a for c in range(instance.num_clauses)
-            for a in (VarId.clause_slack(c, 1), VarId.clause_slack(c, 2),
-                      VarId.z(c))]
-
-
 def linear_derived_graph(instance: Instance) -> IntGraph:
     """Union of per-clause interaction graphs: one K6 per clause, overlapped
     on shared problem variables.  Independent of the penalty value."""
@@ -116,31 +112,10 @@ def linear_derived_graph(instance: Instance) -> IntGraph:
                          linear_ancillas(instance))
 
 
-def linear_degree_table(instance: Instance,
-                        graph: IntGraph | None = None) -> dict[VarId, int]:
-    """Degrees of every vertex of the derived graph (`graph`: the
-    instance's `linear_graph`, if the caller holds it)."""
-    graph = graph or linear_graph(instance)
-    return graph.degree_table(linear_ancillas(instance))
+def linear_degree_table(instance: Instance) -> dict[VarId, int]:
+    """Degrees of every vertex of the derived graph, by name."""
+    return linear_graph(instance).degree_table(linear_ancillas(instance))
 
 
-def linear_max_degree(instance: Instance) -> int:
-    return linear_graph(instance).max_degree()
-
-
-def linear_report(instance: Instance,
-                  graph: IntGraph | None = None) -> DepthReport:
-    graph = graph or linear_graph(instance)
-    used = instance.used_variables()
-    num_ancillas = 3 * instance.num_clauses
-    delta = graph.max_degree()
-    return DepthReport(
-        formulation="linear",
-        num_problem_vars=len(used),
-        num_ancillas=num_ancillas,
-        num_qubits=len(used) + num_ancillas,
-        num_interactions=len(graph.edges),
-        max_degree=delta,
-        depth_upper=delta + 2,
-        depth_lower=delta + 1,
-    )
+def linear_report(instance: Instance) -> DepthReport:
+    return graph_report("linear", linear_graph(instance))

@@ -46,7 +46,8 @@ from typing import Iterable, NamedTuple, Sequence
 from . import DEFAULT_BUDGET_SECS
 from .cnf import Instance
 from .greedy import greedy_batch, greedy_cover  # noqa: F401 - re-exported
-from .gvs import Cover, _max_degree, gvs_max_degree, make_cover
+from .graph import gvs_graph, linear_graph
+from .gvs import Cover, cover_graph, make_cover
 from .ipmodel import (IpModel, _mps_text, build_ip,  # noqa: F401 - re-exported
                       export_lp, tie_break_denominator)
 from .product import Pair, quadratic_pairs
@@ -105,7 +106,7 @@ def _extract_cover(model: IpModel, x: Sequence[float]) -> Cover:
 
 def score_cover(instance: Instance, cover: Cover) -> Fraction:
     """Exact objective value of a cover: max degree plus the tie-break mass."""
-    return _score(instance, cover, gvs_max_degree(instance, cover))
+    return _score(instance, cover, cover_graph(instance, cover).max_degree())
 
 
 def _score(instance: Instance, cover: Cover, degree: int) -> Fraction:
@@ -179,7 +180,7 @@ def solve_ip_exact(
                          + highs.modelStatusToString(model_status))
 
     cover = _extract_cover(model, highs.getSolution().col_value)
-    degree = _max_degree(instance, cover)
+    degree = gvs_graph(instance, cover.pairs).max_degree()
     lower = degree if status == "optimal" else _degree_lower_bound(
         info.mip_dual_bound, len(model.pairs), instance.num_clauses)
     return IpSolution(
@@ -236,7 +237,7 @@ def enumerate_exact(instance: Instance) -> IpSolution:
 
     assert best_choice is not None
     cover = make_cover(instance, [pair for pair, _ in best_choice])
-    degree = gvs_max_degree(instance, cover)
+    degree = gvs_graph(instance, cover.pairs).max_degree()
     value = _score(instance, cover, degree)
     if value != best:
         raise ModelError("inline degree count disagrees with the graph")
@@ -257,11 +258,10 @@ def compare_instance(
     seeds: Iterable[int] = range(20),
     timings: bool = False,
 ) -> ComparisonRow:
-    """One table row: dualized-linear depth vs exact vs greedy substitution."""
-    from .linear import linear_max_degree
-
+    """One table row: dualized-linear depth vs exact vs greedy substitution;
+    the linear Δ is read from `graph.linear_graph`."""
     started = time.perf_counter()
-    lin_depth = linear_max_degree(instance) + 2
+    lin_depth = linear_graph(instance).max_degree() + 2
     ip = solve_ip_exact(instance, budget_secs)
     seeds = tuple(seeds)
     summary = greedy_batch(instance, seeds)

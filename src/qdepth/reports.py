@@ -1,4 +1,9 @@
-"""Report records and their JSON/CSV/text renderings.
+"""Report records, the one builder of depth reports, and their renderings.
+
+`graph_report` reads every count of a `DepthReport` from the interaction
+graph that would run: its vertices are the qubits, its edges the
+interactions, and its maximum degree Δ gives the depth bracket.  Every
+encoding and the command line build their reports through it.
 
 All rendering here is deterministic: fixed key order, no timestamps, and no
 timing data unless the caller explicitly filled the wall_time fields in.
@@ -7,7 +12,10 @@ Running the same analysis twice must produce byte-identical documents.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from .graph import IntGraph
 
 
 class DepthReport(NamedTuple):
@@ -30,32 +38,45 @@ class DepthReport(NamedTuple):
     num_interactions: int
     max_degree: int
     depth_upper: int
-    depth_lower: int | None = None
+    depth_lower: int
     substitutions: int | None = None
     solver_status: str | None = None
     degrees: tuple[tuple[str, int], ...] | None = None
     wall_time: float | None = None
 
-    def with_wall_time(self, seconds: float) -> "DepthReport":
-        return self._replace(wall_time=seconds)
-
     def to_dict(self) -> dict:
-        d = {
-            "formulation": self.formulation,
-            "num_problem_vars": self.num_problem_vars,
-            "num_ancillas": self.num_ancillas,
-            "num_qubits": self.num_qubits,
-            "num_interactions": self.num_interactions,
-            "max_degree": self.max_degree,
-            "depth_upper": self.depth_upper,
-            "depth_lower": self.depth_lower,
-            "substitutions": self.substitutions,
-            "solver_status": self.solver_status,
-            "wall_time": self.wall_time,
-        }
-        if self.degrees is not None:
-            d["degrees"] = {name: deg for name, deg in self.degrees}
+        """The fields in order, except that degrees, when present, come
+        last as a name-to-degree dict."""
+        d = self._asdict()
+        degrees = d.pop("degrees")
+        if degrees is not None:
+            d["degrees"] = dict(degrees)
         return d
+
+
+def graph_report(formulation: str, graph: IntGraph,
+                 depth_upper: int | None = None, **fields) -> DepthReport:
+    """The depth report of running `graph`.
+
+    Its vertices are the qubits, those up to num_vars problem variables and
+    the rest ancillas; its edges are the interactions.  depth_lower is
+    Δ + 1 and depth_upper Δ + 2 unless given.  `fields` fills the optional
+    fields (substitutions, solver_status, degrees).
+    """
+    degrees = graph.degrees()
+    delta = max(degrees.values(), default=0)
+    num_problem_vars = sum(v <= graph.num_vars for v in degrees)
+    return DepthReport(
+        formulation=formulation,
+        num_problem_vars=num_problem_vars,
+        num_ancillas=len(degrees) - num_problem_vars,
+        num_qubits=len(degrees),
+        num_interactions=len(graph.edges),
+        max_degree=delta,
+        depth_upper=delta + 2 if depth_upper is None else depth_upper,
+        depth_lower=delta + 1,
+        **fields,
+    )
 
 
 class ComparisonRow(NamedTuple):
@@ -73,36 +94,12 @@ class ComparisonRow(NamedTuple):
     num_seeds: int
     wall_time: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "num_vars": self.num_vars,
-            "num_clauses": self.num_clauses,
-            "linear_depth": self.linear_depth,
-            "ip_depth": self.ip_depth,
-            "ip_substitutions": self.ip_substitutions,
-            "ip_status": self.ip_status,
-            "greedy_depth": self.greedy_depth,
-            "greedy_substitutions": self.greedy_substitutions,
-            "num_seeds": self.num_seeds,
-            "wall_time": self.wall_time,
-        }
 
-
-def reports_to_json(reports, **extra) -> str:
+def records_to_json(key: str, records: list[dict], **extra) -> str:
+    """A JSON document of `extra`, then the records under `key`."""
     import json
 
-    doc = dict(extra)
-    doc["reports"] = [r.to_dict() for r in reports]
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def rows_to_json(rows, **extra) -> str:
-    import json
-
-    doc = dict(extra)
-    doc["rows"] = [r.to_dict() for r in rows]
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps({**extra, key: records}, indent=2) + "\n"
 
 
 def rows_to_csv(rows) -> str:
@@ -110,23 +107,11 @@ def rows_to_csv(rows) -> str:
     import io
 
     buf = io.StringIO()
-    fields = [
-        "name",
-        "num_vars",
-        "num_clauses",
-        "linear_depth",
-        "ip_depth",
-        "ip_substitutions",
-        "ip_status",
-        "greedy_depth",
-        "greedy_substitutions",
-        "num_seeds",
-        "wall_time",
-    ]
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=ComparisonRow._fields,
+                            lineterminator="\n")
     writer.writeheader()
     for row in rows:
-        writer.writerow(row.to_dict())
+        writer.writerow(row._asdict())
     return buf.getvalue()
 
 
@@ -142,10 +127,7 @@ def depth_report_text(report: DepthReport) -> str:
         lines.append(f"substitutions: {report.substitutions}")
     if report.solver_status is not None:
         lines.append(f"solver:        {report.solver_status}")
-    if report.depth_lower is not None:
-        lines.append(f"depth:         {report.depth_lower}..{report.depth_upper}")
-    else:
-        lines.append(f"depth:         <= {report.depth_upper}")
+    lines.append(f"depth:         {report.depth_lower}..{report.depth_upper}")
     if report.wall_time is not None:
         lines.append(f"wall time:     {report.wall_time:.3f}s")
     if report.degrees is not None:

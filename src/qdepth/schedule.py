@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .cnf import Instance
 from .graph import IntGraph, native3_graph
-from .reports import DepthReport
+from .reports import DepthReport, graph_report
 
 Edge = tuple[int, ...]
 
@@ -292,27 +292,18 @@ def build_schedule(
     return Schedule(tuple(layers))
 
 
-def native3_report(instance: Instance,
-                   graph: IntGraph | None = None) -> DepthReport:
-    """Depth of running the cubic encoding directly with three-qubit blocks
-    (`graph`: the instance's `native3_graph`, if the caller holds it).
+def native3_layers(graph: IntGraph) -> int:
+    """Cost layers of running a native3 graph's hyperedges: the colors of
+    `color_hyperedges`."""
+    return len(set(color_hyperedges(graph).values()))
+
+
+def native3_report(instance: Instance) -> DepthReport:
+    """Depth of running the cubic encoding directly with three-qubit blocks.
 
     One gate block per distinct clause triple; blocks conflict when clauses
     share a variable.  The block count per variable lower-bounds the colors,
     so depth_lower = maxdeg + 1, with no Vizing-style +1 guarantee above it.
     """
-    graph = graph or native3_graph(instance)
-    coloring = color_hyperedges(graph)
-    num_colors = len(set(coloring.values())) if coloring else 0
-    degrees = graph.degrees()
-    delta = max(degrees.values(), default=0)
-    return DepthReport(
-        formulation="native3",
-        num_problem_vars=len(degrees),
-        num_ancillas=0,
-        num_qubits=len(degrees),
-        num_interactions=len(graph.edges),
-        max_degree=delta,
-        depth_upper=num_colors + 1,
-        depth_lower=delta + 1,
-    )
+    graph = native3_graph(instance)
+    return graph_report("native3", graph, native3_layers(graph) + 1)

@@ -11,10 +11,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
+from qdepth import greedy, gvs, optimize
 from qdepth.graph import IntGraph
 from qdepth.pubo import Polynomial
 
@@ -235,3 +237,19 @@ EXAMPLE1_CLAUSES = [
     (-2, 4, 5),
     (1, -2, 5),
 ]
+
+
+def count_cover_work(monkeypatch) -> Counter:
+    """Count the gvs graph builds ("gvs_graph") and the re-checks of a made
+    cover ("make_cover") wherever the solvers and `gvs.cover_graph` call
+    them.  The solvers' own make_cover calls, which make covers, are not
+    counted."""
+    calls = Counter()
+    for module, name in [(gvs, "gvs_graph"), (greedy, "gvs_graph"),
+                         (optimize, "gvs_graph"), (gvs, "make_cover")]:
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls

@@ -23,24 +23,26 @@ from pathlib import Path
 import pytest
 
 from qdepth.cnf import example1, make_instance, parse_dimacs, to_dimacs
-from qdepth.gvs import (
-    dualize_gvs,
+from qdepth.graph import (
     gvs_ancillas,
+    linear_ancillas,
+    linear_graph,
+    native3_graph,
+)
+from qdepth.gvs import (
+    cover_graph,
+    dualize_gvs,
     gvs_degree_table,
     gvs_derived_graph,
-    gvs_max_degree,
     make_cover,
 )
 from qdepth.linear import (
     dualize_linear,
-    linear_ancillas,
     linear_degree_table,
     linear_derived_graph,
-    linear_max_degree,
     linear_report,
 )
 from qdepth.optimize import greedy_cover, solve_ip_exact
-from qdepth.graph import native3_graph
 from qdepth.product import product_objective
 from qdepth.pubo import VarId
 from qdepth.schedule import build_schedule, color_edges, color_hyperedges, native3_report
@@ -108,7 +110,7 @@ def test_criterion_02_example1_gvs_degrees():
         assert [table[VarId.x(i)] for i in range(1, 6)] == [7, 8, 6, 5, 4]
         assert table[VarId.sub((1, 3))] == 7
         assert table[VarId.sub((2, 5))] == 7
-        assert gvs_max_degree(inst, cover) == 8
+        assert cover_graph(inst, cover).max_degree() == 8
 
 
 def test_criterion_03_example1_exact_selection():
@@ -127,7 +129,7 @@ def test_criterion_04_uf20_depths():
     flagged); greedy median depth over 20 seeds within [37, 47] and never
     below the exact incumbent."""
     inst = require_satlib("uf20-01.cnf")
-    assert linear_max_degree(inst) + 2 == 84
+    assert linear_graph(inst).max_degree() + 2 == 84
 
     sol = solve_ip_exact(inst, budget_secs=300.0)
     assert sol.cover is not None, "no incumbent within 300 s"
@@ -144,7 +146,7 @@ def test_criterion_04_uf20_depths():
         assert sol.lower_bound is not None and sol.lower_bound + 2 >= 30
 
     depths = [
-        gvs_max_degree(inst, greedy_cover(inst, seed)) + 2
+        cover_graph(inst, greedy_cover(inst, seed)).max_degree() + 2
         for seed in range(20)
     ]
     med = statistics.median_low(depths)
@@ -157,9 +159,9 @@ def test_criterion_05_uf50_linear_depths():
     inst_sat = require_satlib("uf50-01.cnf")
     inst_unsat = require_satlib("uuf50-01.cnf")
     with within(5.0, "criterion 5 (uf50)"):
-        assert linear_max_degree(inst_sat) + 2 == 100
+        assert linear_graph(inst_sat).max_degree() + 2 == 100
     with within(5.0, "criterion 5 (uuf50)"):
-        assert linear_max_degree(inst_unsat) + 2 == 95
+        assert linear_graph(inst_unsat).max_degree() + 2 == 95
 
 
 def test_criterion_06_degree_formulas_match_graphs():
@@ -182,7 +184,7 @@ def test_criterion_06_degree_formulas_match_graphs():
 
             cover = make_cover(inst, random_cover_choice(rng, inst))
             gvs_degrees = gvs_derived_graph(inst, cover).degree_table(
-                gvs_ancillas(cover))
+                gvs_ancillas(cover.pairs))
             for v, want in gvs_degree_table(inst, cover).items():
                 assert gvs_degrees[v] == want
 

@@ -9,11 +9,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from qdepth import gvs
 from qdepth.cli import main
 from qdepth.cnf import example1, make_instance, to_dimacs
 
-from helpers import random_3sat_instance
+from helpers import count_cover_work, random_3sat_instance
 import random
 
 SCHEMA = json.loads(
@@ -344,7 +343,13 @@ class TestEmptyFormula:
         assert main(["analyze", str(path), "--method", method,
                      "--format", "json"]) == 0
         (report,) = json.loads(capsys.readouterr().out)["reports"]
-        assert report["max_degree"] == 0
+        # no clause, so no qubit and no layer: the mixer layer alone, which
+        # native3's coloring counts exactly
+        assert (report["num_problem_vars"], report["num_ancillas"],
+                report["num_qubits"], report["num_interactions"],
+                report["max_degree"], report["depth_lower"],
+                report["depth_upper"]) == (
+            0, 0, 0, 0, 0, 1, 1 if method == "native3" else 2)
 
     def test_histogram(self, tmp_path, capsys):
         path = tmp_path / "empty.cnf"
@@ -409,8 +414,8 @@ class TestImportBoundary:
         (("inspect", "example1"),
          ["qdepth.cli", "qdepth.cnf", "qdepth.product"]),
         (("analyze", "example1", "--method", "linear"),
-         ["qdepth.cli", "qdepth.cnf", "qdepth.graph", "qdepth.linear",
-          "qdepth.product", "qdepth.reports"]),
+         ["qdepth.cli", "qdepth.cnf", "qdepth.graph", "qdepth.product",
+          "qdepth.reports"]),
         (("analyze", "example1", "--method", "native3"),
          ["qdepth.cli", "qdepth.cnf", "qdepth.graph", "qdepth.product",
           "qdepth.reports", "qdepth.schedule"]),
@@ -422,14 +427,14 @@ class TestImportBoundary:
           "qdepth.gvs", "qdepth.ipmodel", "qdepth.optimize", "qdepth.product",
           "qdepth.reports"]),
         (("histogram", "example1", "--method", "linear"),
-         ["qdepth.cli", "qdepth.cnf", "qdepth.graph", "qdepth.linear",
-          "qdepth.product", "qdepth.reports"]),
+         ["qdepth.cli", "qdepth.cnf", "qdepth.graph", "qdepth.product",
+          "qdepth.reports"]),
         (("export", "example1"),
          ["qdepth.cli", "qdepth.cnf", "qdepth.ipmodel", "qdepth.product"]),
         (("compare", "example1", "--seeds", "2"),
          ["qdepth.cli", "qdepth.cnf", "qdepth.graph", "qdepth.greedy",
-          "qdepth.gvs", "qdepth.ipmodel", "qdepth.linear", "qdepth.optimize",
-          "qdepth.product", "qdepth.reports"]),
+          "qdepth.gvs", "qdepth.ipmodel", "qdepth.optimize", "qdepth.product",
+          "qdepth.reports"]),
     ], ids=["inspect", "linear", "native3", "gvs-greedy", "gvs-ip",
             "histogram-linear", "export", "compare"])
     def test_command_loads_only_the_modules_it_runs(self, argv, expected):
@@ -506,18 +511,12 @@ class TestWorkPerCommand:
     """The CLI builds a gvs cover's graph once for its table and report."""
 
     @pytest.mark.parametrize("method,expected", [
-        ("gvs-greedy", {"gvs_graph": 1, "_validate": 1}),
+        ("gvs-greedy", {"gvs_graph": 1, "make_cover": 1}),
         # the solver's exact re-score builds the cover's graph once more
-        ("gvs-ip", {"gvs_graph": 2, "_validate": 1}),
+        ("gvs-ip", {"gvs_graph": 2, "make_cover": 1}),
     ])
     def test_cover_counted_once(self, method, expected, monkeypatch, capsys):
-        calls = {}
-        for name in expected:
-            def counted(*args, _real=getattr(gvs, name), _name=name):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _real(*args)
-
-            monkeypatch.setattr(gvs, name, counted)
+        calls = count_cover_work(monkeypatch)
         assert main(["analyze", "example1", "--method", method]) == 0
         assert "max degree:    8" in capsys.readouterr().out
         assert calls == expected

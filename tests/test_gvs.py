@@ -6,17 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdepth.cnf import DegenerateClauseError, example1, make_instance
-from qdepth.graph import linear_graph, native3_graph
+from qdepth.graph import gvs_ancillas, linear_graph, native3_graph
 from qdepth.gvs import (
     Cover,
     InvalidCoverError,
     cover_graph,
     dualize_gvs,
     gvs_addends,
-    gvs_ancillas,
     gvs_degree_table,
     gvs_derived_graph,
-    gvs_max_degree,
     gvs_report,
     make_cover,
     substitute_clause,
@@ -31,7 +29,7 @@ from qdepth.linear import (
 from qdepth.optimize import enumerate_exact, greedy_cover, solve_ip_exact
 from qdepth.product import clause_violation, product_objective, quadratic_pairs
 from qdepth.pubo import Polynomial, VarId
-from qdepth.schedule import build_schedule, color_edges
+from qdepth.schedule import build_schedule, color_edges, native3_report
 
 from helpers import (
     assert_proper_edge_coloring,
@@ -224,7 +222,7 @@ class TestDegrees:
         assert table[VarId.sub_slack((1, 3), 1)] == 3
         assert table[VarId.sub_slack((1, 3), 2)] == 2
         assert table[VarId.sub_slack((2, 5), 3)] == 2
-        assert gvs_max_degree(inst, example1_cover()) == 8
+        assert cover_graph(inst, example1_cover()).max_degree() == 8
 
     def test_closed_form_matches_graph(self):
         # the module's central property: the integer graph's degrees vs the
@@ -236,7 +234,7 @@ class TestDegrees:
             inst = make_instance(random_3sat_instance(rng, n, m), num_vars=n)
             cover = make_cover(inst, random_cover_choice(rng, inst))
             graph = gvs_derived_graph(inst, cover).degree_table(
-                gvs_ancillas(cover))
+                gvs_ancillas(cover.pairs))
             for v, expected in gvs_degree_table(inst, cover).items():
                 assert graph[v] == expected, (trial, v.name)
 
@@ -343,6 +341,18 @@ class TestEdgeCounts:
             linear_derived_graph(inst).edges)
         assert gvs_report(inst, cover).num_interactions == len(
             gvs_derived_graph(inst, cover).edges)
+        # the qubits read from each graph are those the instance implies:
+        # every used variable and every ancilla, unused variables not
+        used = len(inst.used_variables())
+        for report, ancillas in [
+            (linear_report(inst), 3 * inst.num_clauses),
+            (gvs_report(inst, cover), 4 * cover.num_substitutions),
+            (native3_report(inst), 0),
+        ]:
+            assert report.num_problem_vars == used
+            assert report.num_ancillas == ancillas
+            assert report.num_qubits == used + ancillas
+            assert report.depth_lower == report.max_degree + 1
 
 
 class TestMaxDegree:
@@ -352,7 +362,7 @@ class TestMaxDegree:
     def test_equals_the_table_maximum(self, case):
         # Δ comes from integer-keyed counts, never from the VarId table
         inst, cover = case
-        assert gvs_max_degree(inst, cover) == max(
+        assert cover_graph(inst, cover).max_degree() == max(
             gvs_degree_table(inst, cover).values())
 
 
@@ -415,14 +425,14 @@ class TestForeignCover:
     messages, by every function that takes one."""
 
     @pytest.mark.parametrize("fn", [gvs_report, gvs_degree_table, gvs_addends,
-                                    gvs_max_degree])
+                                    cover_graph])
     def test_wrong_clause_count(self, fn):
         inst = make_instance(example1().clauses[:3])
         with pytest.raises(InvalidCoverError, match="4 entries for 3 clauses"):
             fn(inst, example1_cover())
 
     @pytest.mark.parametrize("fn", [gvs_report, gvs_degree_table, gvs_addends,
-                                    gvs_max_degree])
+                                    cover_graph])
     def test_pair_outside_its_clause(self, fn):
         # example1 with its first and third clauses swapped: (1, 3) is no
         # longer within clause #0

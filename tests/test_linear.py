@@ -4,16 +4,15 @@ from fractions import Fraction
 import pytest
 
 from qdepth.cnf import DegenerateClauseError, example1, make_instance
+from qdepth.graph import linear_ancillas, linear_graph
 from qdepth.linear import (
     InvalidPenaltyError,
     clause_residual,
     default_penalty,
     dualize_linear,
     linear_addends,
-    linear_ancillas,
     linear_degree_table,
     linear_derived_graph,
-    linear_max_degree,
     linear_report,
 )
 from qdepth.pubo import VarId
@@ -139,7 +138,7 @@ class TestDerivedGraph:
 
     def test_example1_degrees(self):
         inst = example1()
-        assert linear_max_degree(inst) == 13
+        assert linear_graph(inst).max_degree() == 13
         table = linear_degree_table(inst)
         assert table[VarId.x(1)] == 13
         assert all(table[a] == 5 for a in table if a.name.startswith(("d", "z")))

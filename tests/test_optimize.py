@@ -4,21 +4,20 @@ import random
 import sys
 import tempfile
 import types
-from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, chain
 
 import pytest
 
 from qdepth.cnf import example1, make_instance
-from qdepth.gvs import gvs_derived_graph, gvs_max_degree, make_cover
+from qdepth.gvs import cover_graph, gvs_derived_graph, make_cover
 from qdepth.product import (
     candidate_pairs,
     covering_graph,
     coverings,
     quadratic_pairs,
 )
-from qdepth import gvs, optimize
+from qdepth import optimize
 from qdepth.optimize import (
     IpSolution,
     ModelError,
@@ -35,7 +34,7 @@ from qdepth.optimize import (
     solve_ip_exact,
 )
 
-from helpers import random_3sat_instance
+from helpers import count_cover_work, random_3sat_instance
 
 
 def row_by_name(model, name):
@@ -201,7 +200,7 @@ class TestExactSolve:
         assert sol.lower_bound == 8
         # the cover itself is not pinned (several optima exist) but must
         # actually achieve the reported degree
-        assert gvs_max_degree(example1(), sol.cover) == 8
+        assert cover_graph(example1(), sol.cover).max_degree() == 8
 
     def test_single_clause(self):
         inst = make_instance([(1, 2, 3)])
@@ -236,7 +235,7 @@ class TestExactSolve:
         if sol.status == "timed_out":
             assert sol.cover is None
         else:
-            assert gvs_max_degree(inst, sol.cover) == sol.max_degree
+            assert cover_graph(inst, sol.cover).max_degree() == sol.max_degree
             if sol.lower_bound is not None:
                 assert sol.lower_bound <= sol.max_degree
 
@@ -295,7 +294,7 @@ def reference_solve(instance, budget_secs=300.0):
     if res.x is None:  # milp reports no dual bound without an incumbent
         return IpSolution(status, None, None, None, None, None)
     cover = _extract_cover(model, res.x)
-    degree = gvs_max_degree(instance, cover)
+    degree = cover_graph(instance, cover).max_degree()
     lower = degree if status == "optimal" else _degree_lower_bound(
         res.mip_dual_bound, len(model.pairs), instance.num_clauses)
     return IpSolution(status, cover, degree, cover.num_substitutions,
@@ -487,7 +486,7 @@ class TestLimitedSolves:
         assert sol.status == "feasible_bound"
         assert sol.max_degree == 48
         assert sol.lower_bound == 41
-        assert gvs_max_degree(inst, sol.cover) == 48
+        assert cover_graph(inst, sol.cover).max_degree() == 48
         assert sol.objective == score_cover(inst, sol.cover)
 
     @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
@@ -577,7 +576,7 @@ class TestGreedy:
         summary = greedy_batch(inst, range(10))
         covers = [greedy_cover(inst, seed) for seed in range(10)]
         assert summary.depths == tuple(
-            gvs_max_degree(inst, c) + 2 for c in covers)
+            cover_graph(inst, c).max_degree() + 2 for c in covers)
         assert summary.substitutions == tuple(
             c.num_substitutions for c in covers)
 
@@ -638,7 +637,7 @@ class TestCompare:
             inst = make_instance(random_3sat_instance(rng, 7, 6), num_vars=7)
             opt = solve_ip_exact(inst)
             for seed in range(5):
-                deg = gvs_max_degree(inst, greedy_cover(inst, seed))
+                deg = cover_graph(inst, greedy_cover(inst, seed)).max_degree()
                 assert deg >= opt.max_degree
 
 
@@ -661,7 +660,7 @@ class TestRepeatedTriples:
         inst = make_instance(PROBE)
         covers = [greedy_cover(inst, seed) for seed in range(20)]
         deltas = [gvs_derived_graph(inst, c).max_degree() for c in covers]
-        assert [gvs_max_degree(inst, c) for c in covers] == deltas
+        assert [cover_graph(inst, c).max_degree() for c in covers] == deltas
         assert greedy_batch(inst, range(20)).depths == tuple(
             d + 2 for d in deltas)
 
@@ -690,13 +689,7 @@ class TestWorkPerCover:
     checked against the instance a second time."""
 
     def test_degrees_counted_once_per_cover(self, monkeypatch):
-        calls = Counter()
-        for name in ("gvs_graph", "_validate"):
-            def counted(*args, _real=getattr(gvs, name), _name=name):
-                calls[_name] += 1
-                return _real(*args)
-
-            monkeypatch.setattr(gvs, name, counted)
+        calls = count_cover_work(monkeypatch)
         assert solve_ip_exact(example1()).max_degree == 8
         assert calls == {"gvs_graph": 1}
         calls.clear()
