@@ -10,8 +10,8 @@ Subcommands:
   fetch      download SATLIB benchmark instances used in the comparisons
 
 Exit codes: 0 success, 2 solver budget exhausted (with or without an
-incumbent), 64 usage errors, 65 unreadable or unparseable instance files,
-1 fetch/network failures.
+incumbent), 64 usage errors, 65 unreadable or unparseable instance files
+and unwritable -o paths, 1 fetch/network failures.
 
 Outputs are deterministic byte-for-byte unless --timings is passed; paths
 given to -o are written atomically (temp file plus rename).
@@ -198,20 +198,33 @@ def load_instance(source: str) -> tuple[str, Instance]:
 
 
 def write_out(text: str, output: Path | None) -> None:
+    """Write to stdout, or to `output` atomically: a temp file beside it,
+    given the mode `open(output, "w")` would leave, then renamed over it.
+    An error names `output`, not the temp file."""
     if output is None:
         sys.stdout.write(text)
         return
     import tempfile
 
-    fd, tmp = tempfile.mkstemp(dir=output.parent or Path("."),
-                               prefix=output.name, suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, output)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        mode = os.stat(output).st_mode & 0o777
+    except OSError:
+        mode = 0o666 & ~umask
+    try:
+        fd, tmp = tempfile.mkstemp(dir=output.parent, prefix=output.name,
+                                   suffix=".tmp")
+        try:
+            os.fchmod(fd, mode)  # mkstemp makes it 0600
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, output)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(output)) from None
 
 
 def run_method(inst: Instance, args):
@@ -332,7 +345,9 @@ def cmd_compare(args) -> int:
     if args.format == "json":
         text = records_to_json(
             "rows", [r._asdict() for r in rows], command="compare",
-            budget_secs=args.budget, num_seeds=args.seeds,
+            # JSON has no infinity: an unlimited budget is null
+            budget_secs=None if args.budget == float("inf") else args.budget,
+            num_seeds=args.seeds,
         )
     elif args.format == "csv":
         text = rows_to_csv(rows)
@@ -352,20 +367,10 @@ def cmd_histogram(args) -> int:
     counts = Counter(table.values())
     hist = {str(d): counts[d] for d in sorted(counts)}
     if args.format == "json":
-        import json
+        from .reports import records_to_json
 
-        text = (
-            json.dumps(
-                {
-                    "command": "histogram",
-                    "instance": name,
-                    "method": args.method,
-                    "histogram": hist,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
+        text = records_to_json("histogram", hist, command="histogram",
+                               instance=name, method=args.method)
     elif args.format == "csv":
         lines = ["degree,count"] + [f"{d},{c}" for d, c in hist.items()]
         text = "\n".join(lines) + "\n"
@@ -457,7 +462,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     except (DimacsError, DegenerateClauseError, FileNotFoundError,
-            IsADirectoryError, PermissionError) as exc:
+            IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

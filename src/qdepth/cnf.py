@@ -47,7 +47,7 @@ class Instance(NamedTuple):
         return tuple(sorted(seen))
 
 
-def _canonical_clause(literals: Sequence[int], where: str, allow_degenerate: bool):
+def _canonical_clause(literals: Sequence[int], where: str):
     if not literals:
         raise DegenerateClauseError(f"empty clause {where}")
     by_var: dict[int, int] = {}
@@ -62,22 +62,15 @@ def _canonical_clause(literals: Sequence[int], where: str, allow_degenerate: boo
             )
         # exact duplicate literal: collapse silently
     clause = tuple(by_var[v] for v in sorted(by_var))
-    if len(clause) != 3 and not allow_degenerate:
+    if len(clause) != 3:
         raise DegenerateClauseError(
             f"clause {where} has {len(clause)} distinct variables, expected 3"
-        )
-    if len(clause) > 3:
-        raise DegenerateClauseError(
-            f"clause {where} has {len(clause)} distinct variables, at most 3 supported"
         )
     return clause
 
 
 def make_instance(
-    clauses: Iterable[Sequence[int]],
-    num_vars: int | None = None,
-    *,
-    allow_degenerate: bool = False,
+    clauses: Iterable[Sequence[int]], num_vars: int | None = None
 ) -> Instance:
     """Build an Instance from literal sequences, canonicalizing each clause.
 
@@ -86,7 +79,7 @@ def make_instance(
     """
     canon = []
     for i, literals in enumerate(clauses):
-        canon.append(_canonical_clause(literals, f"#{i}", allow_degenerate))
+        canon.append(_canonical_clause(literals, f"#{i}"))
     max_used = max((abs(l) for c in canon for l in c), default=0)
     if num_vars is None:
         num_vars = max_used
@@ -114,13 +107,13 @@ def _warn_duplicates(clauses) -> None:
             seen[key] = i
 
 
-def parse_dimacs(text: str, *, allow_degenerate: bool = False) -> Instance:
-    instance = _read_dimacs(text, allow_degenerate)
+def parse_dimacs(text: str) -> Instance:
+    instance = _read_dimacs(text)
     _warn_duplicates(instance.clauses)
     return instance
 
 
-def _read_dimacs(text: str, allow_degenerate: bool) -> Instance:
+def _read_dimacs(text: str) -> Instance:
     num_vars = None
     declared_clauses = None
     clauses: list[tuple[int, ...]] = []
@@ -156,9 +149,7 @@ def _read_dimacs(text: str, allow_degenerate: bool) -> Instance:
                 ) from None
             if lit == 0:
                 clauses.append(
-                    _canonical_clause(
-                        pending, f"#{len(clauses)} (line {lineno})", allow_degenerate
-                    )
+                    _canonical_clause(pending, f"#{len(clauses)} (line {lineno})")
                 )
                 pending = []
             else:
@@ -180,9 +171,9 @@ def _read_dimacs(text: str, allow_degenerate: bool) -> Instance:
     return Instance(num_vars, tuple(clauses))
 
 
-def load_dimacs(path, *, allow_degenerate: bool = False) -> Instance:
+def load_dimacs(path) -> Instance:
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        instance = _read_dimacs(fh.read(), allow_degenerate)
+        instance = _read_dimacs(fh.read())
     _warn_duplicates(instance.clauses)
     return instance
 

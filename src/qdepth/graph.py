@@ -8,13 +8,15 @@ that never builds a polynomial never loads the exact-arithmetic layer
 
 `IntGraph` is the one graph type: vertices are integers, edges sorted int
 tuples.  `linear_graph`, `gvs_graph` and `native3_graph` build each
-encoding's graph straight from the clause supports, each gate once however
-many clauses produce it, and `linear_ancillas` and `gvs_ancillas` name the
-ancilla vertices they number.  Every report, degree table, Δ and edge count
-is read from these graphs (`qdepth.reports.graph_report`), and
-`qdepth.schedule` colors and layers them.  The polynomial route
-(`linear_derived_graph`, `gvs_derived_graph`) builds the same graphs,
-numbered through the same names, and stays as their check.
+encoding's graph from the clause triples of `product`'s one pass over the
+clauses (`product.clause_triples`, which rejects an instance that is not
+3-SAT), each gate once however many clauses produce it, and
+`linear_ancillas` and `gvs_ancillas` name the ancilla vertices they number.
+Every report, degree table, Δ and edge count is read from these graphs
+(`qdepth.reports.graph_report`), and `qdepth.schedule` colors and layers
+them.  The polynomial route (`linear_derived_graph`, `gvs_derived_graph`)
+builds the same graphs, numbered through the same names, and stays as
+their check.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from collections import Counter
 from itertools import chain, combinations
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .product import quadratic_pairs, require_three_sat
+from .product import clause_triples, quadratic_pairs
 
 if TYPE_CHECKING:
     from .cnf import Instance
@@ -141,18 +143,12 @@ class IntGraph(NamedTuple):
                 for v, d in sorted(self.degrees().items())}
 
 
-def _triples(instance: Instance) -> list[tuple[int, int, int]]:
-    require_three_sat(instance)
-    return [tuple(sorted(abs(lit) for lit in clause))
-            for clause in instance.clauses]
-
-
 def linear_graph(instance: Instance) -> IntGraph:
     """The dualized linear encoding: one K6 per clause c on its variables
     and its ancillas 3c, 3c+1, 3c+2 (d_c1, d_c2, z_c)."""
     n = instance.num_vars
     edges = set()
-    for c, triple in enumerate(_triples(instance)):
+    for c, triple in enumerate(clause_triples(instance)):
         a = n + 1 + 3 * c
         edges.update(combinations(triple + (a, a + 1, a + 2), 2))
     return IntGraph(n, frozenset(edges))
@@ -176,7 +172,7 @@ def gvs_graph(instance: Instance, pairs: Sequence[Pair]) -> IntGraph:
     n = instance.num_vars
     # a pair's free variable is the rest of its clause's triple
     keys = {(pair, sum(triple) - sum(pair))
-            for pair, triple in zip(pairs, _triples(instance))}
+            for pair, triple in zip(pairs, clause_triples(instance))}
     used = sorted({pair for pair, _ in keys})
     u_of = {pair: n + 1 + 4 * k for k, pair in enumerate(used)}
     edges = set(quadratic_pairs(instance))
@@ -199,4 +195,4 @@ def native3_graph(instance: Instance) -> IntGraph:
     """The cubic encoding run directly: one hyperedge per distinct clause
     triple.  A clause is one three-qubit gate block; its quadratic terms act
     on subsets of the triple and ride along in the same layer."""
-    return IntGraph(instance.num_vars, frozenset(_triples(instance)))
+    return IntGraph(instance.num_vars, frozenset(clause_triples(instance)))

@@ -4,8 +4,10 @@
 clauses, drawing uniformly among the tied pairs in sorted order.  It keeps
 every pair's gain exact incrementally, in buckets by gain, so a round costs
 the clauses it covers rather than a rescan of all pairs; the tied set and
-the rng draws are those of a full rescan.  `greedy_batch` builds the
-pair/clause index once and reuses it for every seed.
+the rng draws are those of a full rescan.  Pairs are numbered by
+`product.pair_index`, in sorted pair order, so a sorted list of pair ids is
+a sorted list of pairs; `greedy_batch` runs one seed after another over
+that shared, memoized index.
 """
 
 from __future__ import annotations
@@ -17,35 +19,21 @@ from typing import Iterable, NamedTuple
 from .cnf import Instance
 from .graph import gvs_graph
 from .gvs import Cover, make_cover
-from .product import Pair, covering_graph
+from .product import Pair, pair_index
 
 
-class _CoverIndex(NamedTuple):
-    """The covering relation of one instance, integer-indexed for greedy.
+def greedy_cover(instance: Instance, seed: int | random.Random = 0) -> Cover:
+    """Pick the pair covering the most uncovered clauses, repeat, tie-break
+    uniformly at random.
 
-    Pair ids follow sorted pair order, so a sorted list of ids is a sorted
-    list of pairs.
+    Each round draws `rng.choice` over the tied pairs in sorted order.  The
+    gains are kept exact incrementally rather than recounted: unpicked
+    pairs sit in buckets by gain, and covering a clause moves its other two
+    pairs one bucket down.  The top bucket is then exactly the tied set, so
+    a seed always yields the same cover.
     """
-
-    pairs: tuple[Pair, ...]
-    reach: tuple[tuple[int, ...], ...]           # pair id -> its clauses
-    clause_pairs: tuple[tuple[int, ...], ...]    # clause -> its 3 pair ids
-
-
-def _cover_index(instance: Instance) -> _CoverIndex:
-    graph = covering_graph(instance)
-    pairs = tuple(sorted(graph))
-    reach = tuple(graph[p] for p in pairs)
-    clause_pairs: list[list[int]] = [[] for _ in range(instance.num_clauses)]
-    for i, cs in enumerate(reach):
-        for c in cs:
-            clause_pairs[c].append(i)
-    return _CoverIndex(pairs, reach, tuple(map(tuple, clause_pairs)))
-
-
-def _greedy_from_index(
-    instance: Instance, index: _CoverIndex, rng: random.Random
-) -> Cover:
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    index = pair_index(instance)
     gain = [len(cs) for cs in index.reach]
     # buckets[g]: ids of the unpicked pairs of gain g, ascending
     buckets: list[list[int]] = [[] for _ in range(max(gain, default=0) + 1)]
@@ -76,20 +64,6 @@ def _greedy_from_index(
     return make_cover(instance, assignment)
 
 
-def greedy_cover(instance: Instance, seed: int | random.Random = 0) -> Cover:
-    """Pick the pair covering the most uncovered clauses, repeat, tie-break
-    uniformly at random.
-
-    Each round draws `rng.choice` over the tied pairs in sorted order.  The
-    gains are kept exact incrementally rather than recounted: unpicked
-    pairs sit in buckets by gain, and covering a clause moves its other two
-    pairs one bucket down.  The top bucket is then exactly the tied set, so
-    a seed always yields the same cover.
-    """
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    return _greedy_from_index(instance, _cover_index(instance), rng)
-
-
 class GreedySummary(NamedTuple):
     """Median depth and substitution count over a batch of seeded runs."""
 
@@ -108,10 +82,9 @@ class GreedySummary(NamedTuple):
 def greedy_batch(
     instance: Instance, seeds: Iterable[int] = range(20)
 ) -> GreedySummary:
-    index = _cover_index(instance)
     depths, subs = [], []
     for seed in seeds:
-        cover = _greedy_from_index(instance, index, random.Random(seed))
+        cover = greedy_cover(instance, seed)
         depths.append(gvs_graph(instance, cover.pairs).max_degree() + 2)
         subs.append(cover.num_substitutions)
     return GreedySummary(tuple(depths), tuple(subs))

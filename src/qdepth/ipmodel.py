@@ -23,22 +23,17 @@ from collections import Counter
 from typing import NamedTuple, Sequence
 
 from .cnf import Instance
-from .product import (
-    Covering,
-    Pair,
-    candidate_pairs,
-    coverings,
-    quadratic_pairs,
-)
+from .product import Covering, Pair, coverings, pair_index, quadratic_pairs
 
 
 class IpModel(NamedTuple):
     """Pair-selection integer program, held exactly.
 
     Variables are ordered: obj (the max degree, a nonnegative integer),
-    then one binary y per candidate pair, then one binary z per covering
-    (clause-major).  Rows are (name, coeffs, sense, rhs) with int coeffs
-    keyed by variable index, int right-hand sides and senses "<=" or "=".
+    then one binary y per candidate pair, in pair id order
+    (`product.pair_index`), then one binary z per covering (clause-major).
+    Rows are (name, coeffs, sense, rhs) with int coeffs keyed by variable
+    index, int right-hand sides and senses "<=" or "=".
     The objective holds int weights over `denominator`: the denominator on
     obj, 1 on each y and 0 on each z.
     """
@@ -76,7 +71,7 @@ def build_ip(instance: Instance) -> IpModel:
     Choosing a covering requires building its pair's gadget (z <= y).
     """
     m = instance.num_clauses
-    pairs = sorted(candidate_pairs(instance))
+    pairs = pair_index(instance).pairs
     quad = quadratic_pairs(instance)
     covs = coverings(instance)
 
@@ -129,7 +124,7 @@ def build_ip(instance: Instance) -> IpModel:
         names=tuple(names),
         objective=tuple(objective),
         rows=tuple(rows),
-        pairs=tuple(pairs),
+        pairs=pairs,
         covers=tuple(covs),
     )
 

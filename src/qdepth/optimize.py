@@ -9,8 +9,10 @@ degree, hence the depth bound.
 The work is split by what each command runs.  `ipmodel` builds the integer
 program and writes it as LP or MPS text (`export` loads it alone);
 `greedy` holds the randomized heuristic (`analyze --method gvs-greedy`
-loads it alone).  This module holds the two exact solvers and the
-comparison built on all three, and re-exports `build_ip`, `export_lp`,
+loads it alone).  Both number the candidate pairs by `product.pair_index`,
+so greedy's seeded draws and the program's y columns follow one sorted
+pair order.  This module holds the two exact solvers and the comparison
+built on all three, and re-exports `build_ip`, `export_lp`,
 `greedy_cover` and `greedy_batch` so callers reach every solver here.
 
 `solve_ip_exact` hands the program to HiGHS through scipy; results are

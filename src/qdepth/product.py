@@ -19,9 +19,13 @@ Two pair sets drive everything downstream:
 
 A pair is a `Pair`: a tuple of two distinct variable indices, smaller
 first.  Every pair this module returns, in a set, a `Covering` or a
-`covering_graph` key, has that form, so pairs compare, hash and sort alike
-everywhere downstream without conversion.  Both pair sets and the coverings
-come from one pass over the clauses, memoized per instance.
+`PairIndex`, has that form, so pairs compare, hash and sort alike
+everywhere downstream without conversion.
+
+`_pair_sets`, one memoized pass over the clauses, is the only place that
+numbers pairs: `pair_index` ids them in sorted order for greedy and the
+integer program, and `clause_triples` gives the graph builders each
+clause's sorted variables.
 """
 
 from __future__ import annotations
@@ -74,18 +78,37 @@ class Covering(NamedTuple):
     free: int
 
 
+class PairIndex(NamedTuple):
+    """The covering relation over pair ids, id k being sorted pair pairs[k]:
+    `reach[k]` lists pair k's clauses, `clause_pairs[c]` clause c's three
+    pair ids (its coverings' order), both ascending."""
+
+    pairs: tuple[Pair, ...]
+    reach: tuple[tuple[int, ...], ...]
+    clause_pairs: tuple[tuple[int, ...], ...]
+
+
+class _PairSets(NamedTuple):
+    candidates: frozenset[Pair]
+    quadratic: frozenset[Pair]
+    coverings: tuple[Covering, ...]
+    triples: tuple[tuple[int, int, int], ...]
+    index: PairIndex
+
+
 @lru_cache(maxsize=8)  # a command works on one instance at a time
-def _pair_sets(
-    instance: Instance,
-) -> tuple[frozenset[Pair], frozenset[Pair], tuple[Covering, ...]]:
-    """Candidate pairs, quadratic pairs and coverings, from one pass over
-    the clauses.  Every caller shares the memoized values: keep them immutable."""
+def _pair_sets(instance: Instance) -> _PairSets:
+    """Every pair set, the coverings, the clause triples and the pair index,
+    from one pass over the clauses.  Every caller shares the memoized
+    values: keep them immutable."""
     require_three_sat(instance)
     quadratic: set[Pair] = set()
     covs = []
+    triples = []
     for c, clause in enumerate(instance.clauses):
         positive = {abs(lit): lit > 0 for lit in clause}
-        vs = sorted(positive)
+        vs = tuple(sorted(positive))
+        triples.append(vs)
         for pair in combinations(vs, 2):
             free = next(v for v in vs if v not in pair)
             covs.append(Covering(c, pair, free))
@@ -94,30 +117,42 @@ def _pair_sets(
             if positive[free]:
                 quadratic.add(pair)
     candidates = frozenset(cov.pair for cov in covs)
-    return candidates, frozenset(quadratic), tuple(covs)
+    pairs = tuple(sorted(candidates))
+    pair_id = {pair: k for k, pair in enumerate(pairs)}
+    ids = [pair_id[cov.pair] for cov in covs]  # ascending within a clause
+    reach: list[list[int]] = [[] for _ in pairs]
+    for cov, k in zip(covs, ids):
+        reach[k].append(cov.clause)
+    index = PairIndex(pairs, tuple(map(tuple, reach)),
+                      tuple(zip(ids[0::3], ids[1::3], ids[2::3])))
+    return _PairSets(candidates, frozenset(quadratic), tuple(covs),
+                     tuple(triples), index)
 
 
 def quadratic_pairs(instance: Instance) -> frozenset[Pair]:
     """Variable pairs carrying a degree-2 term in some clause expansion."""
-    return _pair_sets(instance)[1]
+    return _pair_sets(instance).quadratic
 
 
 def candidate_pairs(instance: Instance) -> frozenset[Pair]:
     """All pairs of variables that share a clause."""
-    return _pair_sets(instance)[0]
+    return _pair_sets(instance).candidates
 
 
 def coverings(instance: Instance) -> tuple[Covering, ...]:
-    """Every (clause, pair within it, leftover variable) option, in clause order."""
-    return _pair_sets(instance)[2]
+    """Every (clause, pair within it, leftover variable) option, in clause
+    order, pairs ascending within a clause."""
+    return _pair_sets(instance).coverings
 
 
-def covering_graph(instance: Instance) -> dict[Pair, tuple[int, ...]]:
-    """candidate pair -> clauses it can cover (the bipartite covering relation)."""
-    out: dict[Pair, list[int]] = {}
-    for cov in coverings(instance):
-        out.setdefault(cov.pair, []).append(cov.clause)
-    return {p: tuple(cs) for p, cs in out.items()}
+def clause_triples(instance: Instance) -> tuple[tuple[int, int, int], ...]:
+    """Each clause's variables, ascending, in clause order."""
+    return _pair_sets(instance).triples
+
+
+def pair_index(instance: Instance) -> PairIndex:
+    """The covering relation over integer pair ids, sorted pair order."""
+    return _pair_sets(instance).index
 
 
 def require_three_sat(instance: Instance) -> None:

@@ -95,8 +95,9 @@ class ComparisonRow(NamedTuple):
     wall_time: float | None = None
 
 
-def records_to_json(key: str, records: list[dict], **extra) -> str:
-    """A JSON document of `extra`, then the records under `key`."""
+def records_to_json(key: str, records: list | dict, **extra) -> str:
+    """A JSON document of `extra`, then `records` (report or row records,
+    or a histogram's counts) under `key`."""
     import json
 
     return json.dumps({**extra, key: records}, indent=2) + "\n"

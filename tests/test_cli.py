@@ -158,6 +158,23 @@ class TestAnalyze:
         assert json.loads(out.read_text())["command"] == "analyze"
         assert list(tmp_path.glob("*.tmp")) == []
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_output_file_mode_is_that_of_a_plain_write(self, umask, tmp_path):
+        """A new file gets 0666 less the umask; a replaced one keeps its mode."""
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        old.write_text("stale\n")
+        old.chmod(0o640)
+        saved = os.umask(umask)
+        try:
+            for target in (new, old):
+                assert main(["analyze", "example1", "--method", "linear",
+                             "-o", str(target)]) == 0
+        finally:
+            os.umask(saved)
+        assert new.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert old.stat().st_mode & 0o777 == 0o640
+        assert old.read_text().startswith("formulation:")
+
 
 class TestCompare:
     def test_json_validates(self, example1_path, capsys):
@@ -174,6 +191,18 @@ class TestCompare:
         assert row["linear_depth"] == 15
         assert row["ip_depth"] == 10
         assert row["ip_status"] == "optimal"
+
+    def test_infinite_budget_is_strict_json_null(self, capsys):
+        """RFC 8259 has no Infinity: an unlimited budget is written null."""
+        assert main(["compare", "example1", "--seeds", "2", "--budget", "inf",
+                     "--format", "json"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["budget_secs"] is None
+        jsonschema.validate(doc, SCHEMA)
 
     def test_csv(self, example1_path, capsys):
         assert main(
@@ -258,6 +287,22 @@ class TestExitCodes:
 
     def test_missing_file_is_65(self, capsys):
         assert main(["inspect", "no-such-file.cnf"]) == 65
+
+    @pytest.mark.parametrize("where, reason", [
+        ("nodir/x.txt", "[Errno 2] No such file or directory"),
+        ("adir", "[Errno 21] Is a directory"),
+        ("afile/x.txt", "[Errno 20] Not a directory"),
+    ])
+    def test_unwritable_output_is_65_naming_it(self, where, reason, tmp_path,
+                                               capsys):
+        """The error names the -o path, and no temp file is left behind."""
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("")
+        target = tmp_path / where
+        assert main(["analyze", "example1", "--method", "linear",
+                     "-o", str(target)]) == 65
+        assert capsys.readouterr().err == f"error: {reason}: '{target}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
 
     def test_budget_exhaustion_is_2(self, tmp_path):
         rng = random.Random(5)

@@ -88,16 +88,13 @@ def test_degenerate_clauses_rejected_by_default():
         parse_dimacs("p cnf 3 1\n1 2 -2 0")
     with pytest.raises(DegenerateClauseError, match="empty"):
         parse_dimacs("p cnf 3 1\n0")
-    with pytest.raises(DegenerateClauseError):
-        make_instance([(1, 2, 3, 4)], allow_degenerate=True)
+    with pytest.raises(DegenerateClauseError, match="4 distinct"):
+        make_instance([(1, 2, 3, 4)])
 
 
-def test_allow_degenerate_accepts_short_clauses():
-    inst = parse_dimacs("p cnf 3 2\n1 0\n-2 3 0", allow_degenerate=True)
-    assert inst.clauses == ((1,), (-2, 3))
-    # exact duplicate literals collapse
-    inst2 = make_instance([(1, 1, 2)], allow_degenerate=True)
-    assert inst2.clauses == ((1, 2),)
+def test_duplicate_literals_collapse():
+    assert make_instance([(1, 1, 2, 3)]).clauses == ((1, 2, 3),)
+    assert parse_dimacs("p cnf 3 1\n-2 3 -2 1 0").clauses == ((1, -2, 3),)
 
 
 def test_duplicate_clause_warns_but_keeps_both():

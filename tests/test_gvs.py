@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdepth.cnf import DegenerateClauseError, example1, make_instance
+from qdepth.cnf import DegenerateClauseError, Instance, example1, make_instance
 from qdepth.graph import gvs_ancillas, linear_graph, native3_graph
 from qdepth.gvs import (
     Cover,
@@ -455,7 +455,7 @@ class TestReport:
         assert r.substitutions == 2
 
     def test_degenerate_clause_rejected(self):
-        inst = make_instance([(1, 2, 3), (-1, 4)], allow_degenerate=True)
+        inst = Instance(4, ((1, 2, 3), (-1, 4)))
         cover = make_cover(inst, [(1, 2), (1, 4)])
         with pytest.raises(DegenerateClauseError):
             gvs_report(inst, cover)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qdepth.cnf import DegenerateClauseError, example1, make_instance
+from qdepth.cnf import DegenerateClauseError, Instance, example1, make_instance
 from qdepth.graph import linear_ancillas, linear_graph
 from qdepth.linear import (
     InvalidPenaltyError,
@@ -190,6 +190,6 @@ class TestReport:
         assert r.num_qubits == 6
 
     def test_degenerate_clause_rejected(self):
-        inst = make_instance([(1, 2, 3), (-1, 4)], allow_degenerate=True)
+        inst = Instance(4, ((1, 2, 3), (-1, 4)))
         with pytest.raises(DegenerateClauseError):
             linear_report(inst)

@@ -13,7 +13,6 @@ from qdepth.cnf import example1, make_instance
 from qdepth.gvs import cover_graph, gvs_derived_graph, make_cover
 from qdepth.product import (
     candidate_pairs,
-    covering_graph,
     coverings,
     quadratic_pairs,
 )
@@ -521,10 +520,9 @@ class TestExport:
 def reference_greedy(instance, rng):
     """The greedy cover by plain rescanning: every round recounts each
     available pair's uncovered clauses and draws among the sorted ties."""
-    reach = {
-        tuple(sorted(p)): frozenset(cs)
-        for p, cs in covering_graph(instance).items()
-    }
+    reach = {}
+    for cov in coverings(instance):
+        reach.setdefault(cov.pair, set()).add(cov.clause)
     uncovered = set(range(instance.num_clauses))
     available = set(reach)
     assignment = [None] * instance.num_clauses

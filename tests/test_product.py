@@ -3,12 +3,13 @@ from collections import Counter
 
 import pytest
 
-from qdepth.cnf import DegenerateClauseError, example1, make_instance
+from qdepth.cnf import DegenerateClauseError, Instance, example1, make_instance
 from qdepth.product import (
     candidate_pairs,
     clause_violation,
-    covering_graph,
+    clause_triples,
     coverings,
+    pair_index,
     product_objective,
     quadratic_pairs,
 )
@@ -87,7 +88,7 @@ class TestObjective:
         assert all(v.kind == VarId.x(1).kind for v in obj.variables())
 
     def test_rejects_short_clauses(self):
-        inst = make_instance([(1, 2)], allow_degenerate=True)
+        inst = Instance(2, ((1, 2),))
         with pytest.raises(DegenerateClauseError):
             product_objective(inst)
 
@@ -131,11 +132,37 @@ class TestPairSets:
 
 class TestCoverings:
     def test_example1_covering_graph(self):
-        cg = covering_graph(example1())
+        index = pair_index(example1())
+        cg = dict(zip(index.pairs, index.reach))
         assert sum(len(cs) for cs in cg.values()) == 12
         assert cg[(1, 3)] == (0, 1)
         assert cg[(2, 5)] == (2, 3)
         assert cg[(4, 5)] == (2,)
+        assert index.clause_pairs[0] == tuple(
+            index.pairs.index(p) for p in [(1, 2), (1, 3), (2, 3)])
+
+    def test_pair_index_matches_coverings(self):
+        """Pair ids follow sorted pair order; reach and clause_pairs are the
+        coverings, ascending, read from either side."""
+        rng = random.Random(47)
+        # a repeated triple, and clauses with variables out of order
+        instances = [example1(), make_instance([(1, 2, 3), (-1, 2, 3), (3, 4, 5)]),
+                     make_instance([(-3, 1, 2), (5, -4, 3)], num_vars=6)]
+        instances += [make_instance(random_3sat_instance(rng, 9, 12), num_vars=9)
+                      for _ in range(5)]
+        for inst in instances:
+            index = pair_index(inst)
+            assert list(index.pairs) == sorted(candidate_pairs(inst))
+            covs = coverings(inst)
+            assert [index.pairs[k] for ks in index.clause_pairs for k in ks] \
+                == [c.pair for c in covs]
+            assert all(list(ks) == sorted(ks) for ks in index.clause_pairs)
+            for k, cs in enumerate(index.reach):
+                assert cs == tuple(c.clause for c in covs
+                                   if c.pair == index.pairs[k])
+            assert clause_triples(inst) == tuple(
+                tuple(sorted(inst.clause_vars(c)))
+                for c in range(inst.num_clauses))
 
     def test_covering_free_variable(self):
         covs = [c for c in coverings(example1()) if c.clause == 0]
@@ -162,10 +189,10 @@ class TestPairContract:
                       for _ in range(5)]
         for inst in instances:
             pairs = [*candidate_pairs(inst), *quadratic_pairs(inst),
-                     *(c.pair for c in coverings(inst)), *covering_graph(inst)]
+                     *(c.pair for c in coverings(inst)), *pair_index(inst).pairs]
             assert pairs and all(is_sorted_pair(p) for p in pairs), pairs
             assert quadratic_pairs(inst) <= candidate_pairs(inst)
-            assert set(covering_graph(inst)) == candidate_pairs(inst)
+            assert set(pair_index(inst).pairs) == candidate_pairs(inst)
 
 
 class TestPairSetMemo:
@@ -179,9 +206,11 @@ class TestPairSetMemo:
             a = make_instance(clauses, num_vars=7)
             b = make_instance(list(clauses), num_vars=7)
             assert a == b and a is not b
-            for fn in (candidate_pairs, quadratic_pairs, coverings):
+            for fn in (candidate_pairs, quadratic_pairs, coverings,
+                       clause_triples, pair_index):
                 assert fn(a) == fn(b)
             assert coverings(a) is coverings(b)  # one pass, shared
+            assert pair_index(a) is pair_index(b)
 
     def test_shared_values_cannot_be_changed(self):
         inst = example1()
@@ -194,13 +223,18 @@ class TestPairSetMemo:
             covs[0] = covs[1]
         with pytest.raises(AttributeError):
             covs[0].free = 9
-        # covering_graph builds its dict afresh; emptying one leaves the next
-        covering_graph(inst).clear()
-        assert len(covering_graph(inst)) == 9
+        # the index and the triples are tuples all the way down
+        index = pair_index(inst)
+        for seq in (index.pairs, index.reach, index.reach[0],
+                    index.clause_pairs, index.clause_pairs[0],
+                    clause_triples(inst), clause_triples(inst)[0]):
+            assert type(seq) is tuple
+        with pytest.raises(AttributeError):
+            index.pairs = ()
         assert len(candidate_pairs(inst)) == 9 and len(coverings(inst)) == 12
 
     def test_rejection_is_not_remembered(self):
-        inst = make_instance([(1, 2, 3), (-1, 4)], allow_degenerate=True)
+        inst = Instance(4, ((1, 2, 3), (-1, 4)))
         for _ in range(2):
             with pytest.raises(DegenerateClauseError):
                 candidate_pairs(inst)
