@@ -16,15 +16,14 @@ and unwritable -o paths, 1 fetch/network failures.
 Outputs are deterministic byte-for-byte unless --timings is passed; paths
 given to -o are written atomically (temp file plus rename).
 
-Each command imports only the modules its path runs.  Parsing the command
-line loads `cnf` alone and builds only the named command's subparser;
-`inspect` adds `product`, and `export` adds `product` and `ipmodel`.  The
-`linear` method adds `product`, `graph` and `reports`, which build every
-method's graph and report, and `native3` adds `schedule` to them;
-`gvs-greedy` adds `gvs` and `greedy`; `gvs-ip` and `compare` add those and
-`ipmodel`, `optimize` and `fractions`.  `json` and `csv` load only for
-their formats, and no command builds a polynomial, so none loads `pubo` or
-`linear`.
+The package has two layers.  The structure layer (`cnf`, `product`,
+`graph`, `reports`, `schedule`, `greedy`, `ipmodel`, `optimize`, `cli`)
+reads every depth from integer graphs; the oracle layer (`pubo`, `linear`,
+`gvs`) builds the exact polynomials that check it.  No structure module
+imports an oracle module, so no command loads one.  Each command imports
+only the modules its path runs: parsing loads `cnf` alone and builds only
+the named command's subparser, and `json` and `csv` load only for their
+formats.
 """
 
 from __future__ import annotations
@@ -198,28 +197,31 @@ def load_instance(source: str) -> tuple[str, Instance]:
 
 
 def write_out(text: str, output: Path | None) -> None:
-    """Write to stdout, or to `output` atomically: a temp file beside it,
-    given the mode `open(output, "w")` would leave, then renamed over it.
-    An error names `output`, not the temp file."""
+    """Write to stdout, or to `output` atomically: a temp file beside the
+    file `output` names, given the mode `open(output, "w")` would leave,
+    then renamed over that file.  A symlink is followed, as `open` follows
+    it: the link stays and its target, made if missing, gets the text.  An
+    error names `output`, not the temp file or the link's target."""
     if output is None:
         sys.stdout.write(text)
         return
     import tempfile
 
+    target = Path(os.path.realpath(output))
     umask = os.umask(0)
     os.umask(umask)
     try:
-        mode = os.stat(output).st_mode & 0o777
+        mode = os.stat(target).st_mode & 0o777
     except OSError:
         mode = 0o666 & ~umask
     try:
-        fd, tmp = tempfile.mkstemp(dir=output.parent, prefix=output.name,
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name,
                                    suffix=".tmp")
         try:
             os.fchmod(fd, mode)  # mkstemp makes it 0600
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
-            os.replace(tmp, output)
+            os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
             raise
@@ -235,8 +237,8 @@ def run_method(inst: Instance, args):
     DepthReport, exit code).  Exits with EXIT_BUDGET when the exact solve
     finds no cover within the budget.
     """
-    from .graph import (gvs_ancillas, linear_ancillas, linear_graph,
-                         native3_graph)
+    from .graph import (gvs_ancillas, gvs_graph, linear_ancillas,
+                         linear_graph, native3_graph)
     from .reports import graph_report
 
     fields = {}
@@ -251,8 +253,6 @@ def run_method(inst: Instance, args):
         graph = native3_graph(inst)
         fields["depth_upper"] = native3_layers(graph) + 1
     else:
-        from .gvs import cover_graph
-
         if args.method == "gvs-greedy":
             from .greedy import greedy_cover
 
@@ -272,7 +272,8 @@ def run_method(inst: Instance, args):
             fields["solver_status"] = sol.status
             if sol.status != "optimal":
                 exit_code = EXIT_BUDGET
-        graph = cover_graph(inst, cover)
+        # both solvers made the cover with make_cover, which checked it
+        graph = gvs_graph(inst, cover.pairs)
         ancillas = gvs_ancillas(cover.pairs)
         fields["substitutions"] = cover.num_substitutions
     table = graph.degree_table(ancillas)
@@ -336,12 +337,11 @@ def cmd_compare(args) -> int:
     rows = []
     for source in args.instances:
         name, inst = load_instance(source)
-        rows.append(
-            compare_instance(
-                name, inst, args.budget, range(args.seeds),
-                timings=args.timings,
-            )
-        )
+        started = time.perf_counter()
+        row = compare_instance(name, inst, args.budget, range(args.seeds))
+        if args.timings:
+            row = row._replace(wall_time=time.perf_counter() - started)
+        rows.append(row)
     if args.format == "json":
         text = records_to_json(
             "rows", [r._asdict() for r in rows], command="compare",

@@ -18,11 +18,10 @@ from typing import Iterable, NamedTuple
 
 from .cnf import Instance
 from .graph import gvs_graph
-from .gvs import Cover, make_cover
-from .product import Pair, pair_index
+from .product import Cover, Pair, make_cover, pair_index
 
 
-def greedy_cover(instance: Instance, seed: int | random.Random = 0) -> Cover:
+def greedy_cover(instance: Instance, seed: int) -> Cover:
     """Pick the pair covering the most uncovered clauses, repeat, tie-break
     uniformly at random.
 
@@ -32,7 +31,7 @@ def greedy_cover(instance: Instance, seed: int | random.Random = 0) -> Cover:
     pairs one bucket down.  The top bucket is then exactly the tied set, so
     a seed always yields the same cover.
     """
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    rng = random.Random(seed)
     index = pair_index(instance)
     gain = [len(cs) for cs in index.reach]
     # buckets[g]: ids of the unpicked pairs of gain g, ascending

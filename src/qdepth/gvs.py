@@ -1,9 +1,11 @@
-"""Pair substitution: reducing the cubic encoding to a quadratic one.
+"""The product encoding and its pair substitution, as exact polynomials.
 
-Every clause's cubic term is removed by picking one pair {i,j} of its
-variables and replacing the product x_i*x_j with a fresh variable u_{i,j}.
-A cover assigns one pair to each clause; distinct pairs may be reused across
-clauses and share their ancillas.
+`product_objective` sums each clause's violation indicator
+(`clause_violation`) into the cubic objective, zero exactly on satisfying
+assignments.  Every clause's cubic term is removed by picking one pair
+{i,j} of its variables and replacing the product x_i*x_j with a fresh
+variable u_{i,j}.  A cover assigns one pair to each clause; distinct pairs
+may be reused across clauses and share their ancillas.
 
 Each used pair brings four ancillas (u plus three slacks) and three affine
 constraints whose residuals vanish, for some slack values, exactly when
@@ -21,72 +23,52 @@ at least the multiplier in penalty.  A multiplier of 1 is not enough: one
 wrong u covering two clauses would pay 1 and save 2, driving the minimum
 below zero on a satisfiable instance.
 
-The derived graph is again the union of the per-addend graphs;
-`graph.gvs_graph` builds it over integers, and `cover_graph` builds it
-after checking the cover; `gvs_report` and `gvs_degree_table` read it, and
-callers read Δ as `cover_graph(...).max_degree()`.  A used pair's penalty
-block gives its u degree 5 and its slacks 3, 2 and 2, and each distinct
-(pair, free variable) key adds one u-free edge: clauses on one variable
-triple with one pair share it.
+This module is an oracle: covers (`product.Cover`, `make_cover`) and
+their graph (`graph.gvs_graph`) need no polynomial, so no command loads
+it.  The derived graph is the union of the per-addend graphs;
+`gvs_derived_graph` builds it from the polynomials, and `cover_graph` over
+integers after checking the cover, for `gvs_report` and
+`gvs_degree_table`.  A used pair's penalty block gives its u degree 5 and
+its slacks 3, 2 and 2, and each distinct (pair, free variable) key adds
+one u-free edge: clauses on one variable triple with one pair share it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
-
 from .cnf import Instance
 from .graph import IntGraph, VarId, gvs_ancillas, gvs_graph
-from .product import Pair, clause_violation
+from .linear import checked_penalty
+from .product import (Cover, InvalidCoverError, Pair, make_cover,
+                      require_three_sat)
+from .pubo import Polynomial, derived_graph
 from .reports import DepthReport, graph_report
 
-if TYPE_CHECKING:  # polynomials load only where one is built
-    from .pubo import Polynomial
+
+def clause_violation(clause: tuple[int, ...]) -> Polynomial:
+    """Product of the literals' falsity indicators, (1 - x) for x and x for
+    its negation."""
+    out = Polynomial.constant(1)
+    for lit in clause:
+        x = Polynomial.variable(VarId.x(abs(lit)))
+        out = out * (1 - x if lit > 0 else x)
+    return out
 
 
-class InvalidCoverError(ValueError):
-    """A cover assignment does not match the instance's clauses."""
+def product_objective(instance: Instance) -> Polynomial:
+    """Number of violated clauses, to be minimized. Degree 3, no ancillas.
 
-
-class Cover(NamedTuple):
-    """One substituted pair per clause, in clause order."""
-
-    pairs: tuple[Pair, ...]
-
-    @property
-    def used(self) -> tuple[Pair, ...]:
-        """Distinct pairs, sorted for deterministic iteration."""
-        return tuple(sorted(set(self.pairs)))
-
-    @property
-    def num_substitutions(self) -> int:
-        return len(set(self.pairs))
-
-
-def make_cover(instance: Instance, pairs: Sequence[Iterable[int]]) -> Cover:
-    """Check one pair per clause, each within its clause, and store every
-    pair as a sorted tuple."""
-    if len(pairs) != instance.num_clauses:
-        raise InvalidCoverError(
-            f"cover has {len(pairs)} entries for {instance.num_clauses} clauses"
-        )
-    canon = []
-    for c, raw in enumerate(pairs):
-        pair = tuple(sorted(set(raw)))
-        if len(pair) != 2:
-            raise InvalidCoverError(f"clause #{c}: pair must have 2 distinct variables")
-        if not instance.clause_vars(c).issuperset(pair):
-            raise InvalidCoverError(
-                f"clause #{c}: pair {pair} not within "
-                f"clause variables {tuple(sorted(instance.clause_vars(c)))}"
-            )
-        canon.append(pair)
-    return Cover(tuple(canon))
+    The minimum over 0/1 assignments is 0 exactly when the instance is
+    satisfiable.
+    """
+    require_three_sat(instance)
+    total = Polynomial.zero()
+    for clause in instance.clauses:
+        total = total + clause_violation(clause)
+    return total
 
 
 def substitute_clause(clause: tuple[int, ...], pair: Pair) -> Polynomial:
     """Clause violation polynomial with x_i*x_j collapsed to u_{i,j}."""
-    from .pubo import Polynomial
-
     i, j = pair
     if not {i, j} <= {abs(l) for l in clause}:
         raise InvalidCoverError(f"pair {pair} not within clause {clause}")
@@ -104,8 +86,6 @@ def substitute_clause(clause: tuple[int, ...], pair: Pair) -> Polynomial:
 
 def substitution_residuals(pair: Pair) -> tuple[Polynomial, ...]:
     """Residuals of constraints A, B, C for the pair, in that order."""
-    from .pubo import Polynomial
-
     i, j = pair
     u = Polynomial.variable(VarId.sub(pair))
     xi = Polynomial.variable(VarId.x(i))
@@ -123,8 +103,6 @@ def substitution_penalty(pair: Pair) -> Polynomial:
 
 def gvs_addends(instance: Instance, cover: Cover, penalty=None) -> tuple[Polynomial, ...]:
     """Substituted clauses (in clause order) then penalty blocks (sorted pairs)."""
-    from .linear import checked_penalty
-
     make_cover(instance, cover.pairs)
     lam = checked_penalty(instance, penalty)
     out = [
@@ -138,8 +116,6 @@ def gvs_addends(instance: Instance, cover: Cover, penalty=None) -> tuple[Polynom
 
 def dualize_gvs(instance: Instance, cover: Cover, penalty=None) -> Polynomial:
     """Quadratic objective, minimized; minimum 0 iff the instance is satisfiable."""
-    from .pubo import Polynomial
-
     total = Polynomial.zero()
     for addend in gvs_addends(instance, cover, penalty):
         total = total + addend
@@ -148,8 +124,6 @@ def dualize_gvs(instance: Instance, cover: Cover, penalty=None) -> Polynomial:
 
 def gvs_derived_graph(instance: Instance, cover: Cover) -> IntGraph:
     """Union of per-addend interaction graphs; independent of the penalty."""
-    from .pubo import derived_graph
-
     return derived_graph(gvs_addends(instance, cover, 1), instance.num_vars,
                          gvs_ancillas(cover.pairs))
 

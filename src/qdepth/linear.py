@@ -22,22 +22,19 @@ per clause the graph is a complete K6.  Equal and opposite cross-clause
 quadratic terms can cancel in the summed polynomial; those gates still run,
 so the union, not the sum, is what the hardware sees.  `graph.linear_graph`
 builds that union over integers, and `linear_report` and
-`linear_degree_table` read it; the command line reads the same graph
-without loading this module, which keeps the polynomials and their oracle
-`linear_derived_graph`.
+`linear_degree_table` read it.  This module is an oracle: it keeps the
+polynomials and `linear_derived_graph`, their union built term by term,
+and no command loads it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from fractions import Fraction
 
 from .cnf import DegenerateClauseError, Instance
 from .graph import IntGraph, VarId, linear_ancillas, linear_graph
+from .pubo import Polynomial, derived_graph
 from .reports import DepthReport, graph_report
-
-if TYPE_CHECKING:  # exact arithmetic loads only where a polynomial is built
-    from fractions import Fraction
-    from .pubo import Polynomial
 
 
 class InvalidPenaltyError(ValueError):
@@ -45,8 +42,6 @@ class InvalidPenaltyError(ValueError):
 
 
 def default_penalty(instance: Instance) -> Fraction:
-    from fractions import Fraction
-
     # One more than the number of clauses: a single violated residual then
     # costs more than every indicator together can pay.
     return Fraction(instance.num_clauses + 1)
@@ -54,8 +49,6 @@ def default_penalty(instance: Instance) -> Fraction:
 
 def clause_residual(clause: tuple[int, ...], c: int) -> Polynomial:
     """f_c for the clause at index c. Zero iff slacks balance the literals."""
-    from .pubo import Polynomial
-
     if len(clause) != 3:
         raise DegenerateClauseError(
             f"clause #{c} has {len(clause)} literals; this encoding needs 3"
@@ -71,8 +64,6 @@ def clause_residual(clause: tuple[int, ...], c: int) -> Polynomial:
 
 def checked_penalty(instance: Instance, penalty) -> Fraction:
     """The given penalty as a Fraction, or the default when it is None."""
-    from fractions import Fraction
-
     if penalty is None:
         return default_penalty(instance)
     p = Fraction(penalty)
@@ -83,8 +74,6 @@ def checked_penalty(instance: Instance, penalty) -> Fraction:
 
 def linear_addends(instance: Instance, penalty=None) -> tuple[Polynomial, ...]:
     """Per-clause contributions z_c - penalty * f_c^2, in clause order."""
-    from .pubo import Polynomial
-
     p = checked_penalty(instance, penalty)
     out = []
     for c, clause in enumerate(instance.clauses):
@@ -95,8 +84,6 @@ def linear_addends(instance: Instance, penalty=None) -> tuple[Polynomial, ...]:
 
 def dualize_linear(instance: Instance, penalty=None) -> Polynomial:
     """The summed quadratic objective, to be maximized."""
-    from .pubo import Polynomial
-
     total = Polynomial.zero()
     for addend in linear_addends(instance, penalty):
         total = total + addend
@@ -106,8 +93,6 @@ def dualize_linear(instance: Instance, penalty=None) -> Polynomial:
 def linear_derived_graph(instance: Instance) -> IntGraph:
     """Union of per-clause interaction graphs: one K6 per clause, overlapped
     on shared problem variables.  Independent of the penalty value."""
-    from .pubo import derived_graph
-
     return derived_graph(linear_addends(instance, 1), instance.num_vars,
                          linear_ancillas(instance))
 

@@ -14,6 +14,8 @@ so greedy's seeded draws and the program's y columns follow one sorted
 pair order.  This module holds the two exact solvers and the comparison
 built on all three, and re-exports `build_ip`, `export_lp`,
 `greedy_cover` and `greedy_batch` so callers reach every solver here.
+Every solver returns a `product.Cover` and reads its Δ from
+`graph.gvs_graph`; none needs the polynomial oracle `gvs`.
 
 `solve_ip_exact` hands the program to HiGHS through scipy; results are
 re-scored in exact rational arithmetic, so the reported optimum never
@@ -38,7 +40,6 @@ import math
 import os
 import sys
 import tempfile
-import time
 from collections import Counter
 from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES
@@ -49,10 +50,9 @@ from . import DEFAULT_BUDGET_SECS
 from .cnf import Instance
 from .greedy import greedy_batch, greedy_cover  # noqa: F401 - re-exported
 from .graph import gvs_graph, linear_graph
-from .gvs import Cover, cover_graph, make_cover
 from .ipmodel import (IpModel, _mps_text, build_ip,  # noqa: F401 - re-exported
                       export_lp, tie_break_denominator)
-from .product import Pair, quadratic_pairs
+from .product import Cover, Pair, make_cover, quadratic_pairs
 from .reports import ComparisonRow
 
 # float dual bounds get this much slack before the integer rounding, so a
@@ -106,12 +106,9 @@ def _extract_cover(model: IpModel, x: Sequence[float]) -> Cover:
     return make_cover(model.instance, choice)
 
 
-def score_cover(instance: Instance, cover: Cover) -> Fraction:
-    """Exact objective value of a cover: max degree plus the tie-break mass."""
-    return _score(instance, cover, cover_graph(instance, cover).max_degree())
-
-
 def _score(instance: Instance, cover: Cover, degree: int) -> Fraction:
+    """Exact objective value of a cover of max degree `degree`: the degree
+    plus the tie-break mass."""
     return degree + Fraction(cover.num_substitutions,
                              tie_break_denominator(instance.num_clauses))
 
@@ -258,16 +255,14 @@ def compare_instance(
     instance: Instance,
     budget_secs: float = DEFAULT_BUDGET_SECS,
     seeds: Iterable[int] = range(20),
-    timings: bool = False,
 ) -> ComparisonRow:
     """One table row: dualized-linear depth vs exact vs greedy substitution;
-    the linear Δ is read from `graph.linear_graph`."""
-    started = time.perf_counter()
+    the linear Δ is read from `graph.linear_graph`.  `wall_time` is left
+    None for the caller to fill."""
     lin_depth = linear_graph(instance).max_degree() + 2
     ip = solve_ip_exact(instance, budget_secs)
     seeds = tuple(seeds)
     summary = greedy_batch(instance, seeds)
-    elapsed = time.perf_counter() - started
     return ComparisonRow(
         name=name,
         num_vars=instance.num_vars,
@@ -279,5 +274,4 @@ def compare_instance(
         greedy_depth=summary.median_depth,
         greedy_substitutions=summary.median_substitutions,
         num_seeds=len(seeds),
-        wall_time=elapsed if timings else None,
     )

@@ -1,12 +1,10 @@
-"""Product (cubic) encoding of 3-SAT and the pair sets it induces.
+"""Pairs and covers of the product (cubic) encoding of 3-SAT.
 
 A clause is violated exactly when all three literals are false, so its
-violation indicator is a product of three affine factors and the
-satisfaction indicator is one minus that.  Summing the violations over
-clauses gives the number of violated clauses as a degree-3 polynomial in
-the problem variables, with no ancillas; minimizing it solves the instance.
-
-Two pair sets drive everything downstream:
+violation indicator is a product of three affine factors; summing them
+gives the number of violated clauses as a degree-3 polynomial with no
+ancillas.  This module holds that encoding's structure, never its
+polynomials (`gvs` builds those, as the oracle):
 
 * quadratic pairs: variable pairs that carry a degree-2 term in some
   clause's expansion.  A pair inside a clause gets one exactly when the
@@ -16,11 +14,12 @@ Two pair sets drive everything downstream:
 * candidate pairs: every pair of variables sharing a clause.  Substituting
   such a pair removes that clause's cubic term, so these are the options the
   substitution optimizer chooses from.
+* a `Cover`: one substituted pair per clause, checked by `make_cover`.
 
 A pair is a `Pair`: a tuple of two distinct variable indices, smaller
-first.  Every pair this module returns, in a set, a `Covering` or a
-`PairIndex`, has that form, so pairs compare, hash and sort alike
-everywhere downstream without conversion.
+first.  Every pair this module returns, in a set, a `Covering`, a
+`PairIndex` or a `Cover`, has that form, so pairs compare, hash and sort
+alike everywhere downstream without conversion.
 
 `_pair_sets`, one memoized pass over the clauses, is the only place that
 numbers pairs: `pair_index` ids them in sorted order for greedy and the
@@ -32,42 +31,51 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import TYPE_CHECKING, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .cnf import DegenerateClauseError, Instance
-
-if TYPE_CHECKING:  # polynomials load only where one is built
-    from .pubo import Polynomial
 
 Pair = tuple[int, int]  # (i, j) with i < j
 
 
-def clause_violation(clause: tuple[int, ...]) -> Polynomial:
-    """Product of the literals' falsity indicators, (1 - x) for x and x for
-    its negation."""
-    from .graph import VarId
-    from .pubo import Polynomial
-
-    out = Polynomial.constant(1)
-    for lit in clause:
-        x = Polynomial.variable(VarId.x(abs(lit)))
-        out = out * (1 - x if lit > 0 else x)
-    return out
+class InvalidCoverError(ValueError):
+    """A cover assignment does not match the instance's clauses."""
 
 
-def product_objective(instance: Instance) -> Polynomial:
-    """Number of violated clauses, to be minimized. Degree 3, no ancillas.
+class Cover(NamedTuple):
+    """One substituted pair per clause, in clause order."""
 
-    The minimum over 0/1 assignments is 0 exactly when the instance is
-    satisfiable.
-    """
-    from .pubo import Polynomial
+    pairs: tuple[Pair, ...]
 
-    require_three_sat(instance)
-    total = Polynomial.zero()
-    for clause in instance.clauses:
-        total = total + clause_violation(clause)
-    return total
+    @property
+    def used(self) -> tuple[Pair, ...]:
+        """Distinct pairs, sorted for deterministic iteration."""
+        return tuple(sorted(set(self.pairs)))
+
+    @property
+    def num_substitutions(self) -> int:
+        return len(set(self.pairs))
+
+
+def make_cover(instance: Instance, pairs: Sequence[Iterable[int]]) -> Cover:
+    """Check one pair per clause, each within its clause, and store every
+    pair as a sorted tuple."""
+    if len(pairs) != instance.num_clauses:
+        raise InvalidCoverError(
+            f"cover has {len(pairs)} entries for {instance.num_clauses} clauses"
+        )
+    canon = []
+    for c, raw in enumerate(pairs):
+        pair = tuple(sorted(set(raw)))
+        if len(pair) != 2:
+            raise InvalidCoverError(f"clause #{c}: pair must have 2 distinct variables")
+        if not instance.clause_vars(c).issuperset(pair):
+            raise InvalidCoverError(
+                f"clause #{c}: pair {pair} not within "
+                f"clause variables {tuple(sorted(instance.clause_vars(c)))}"
+            )
+        canon.append(pair)
+    return Cover(tuple(canon))
 
 
 class Covering(NamedTuple):

@@ -16,9 +16,9 @@ distinct monomial support of size >= 2 among its addends.  Only supports
 matter: scaling coefficients never changes the graph.  `derived_graph`
 builds it as a `qdepth.graph.IntGraph`, numbering each variable as the
 encoding's degree table names it.  `VarId` lives in `qdepth.graph`, which
-needs no exact arithmetic, and is re-exported here.  No command of the
-command line builds a polynomial, so none loads this module; tests and
-oracles do.
+needs no exact arithmetic, and is re-exported here.  This is the base of
+the oracle layer (see `qdepth.cli`): `linear` and `gvs` build on it, and
+no command loads it.
 """
 
 from __future__ import annotations
@@ -43,18 +43,8 @@ class Polynomial:
         if terms:
             for support, coeff in terms.items():
                 c = Fraction(coeff)
-                if c == 0:
-                    continue
-                key = tuple(sorted(set(support)))
-                acc = canon.get(key)
-                if acc is None:
-                    canon[key] = c
-                else:
-                    acc = acc + c
-                    if acc == 0:
-                        del canon[key]
-                    else:
-                        canon[key] = acc
+                if c:
+                    _add_term(canon, tuple(sorted(set(support))), c)
         object.__setattr__(self, "_terms", canon)
 
     # -- constructors ------------------------------------------------------
@@ -101,15 +91,7 @@ class Polynomial:
         other = _coerce(other)
         out = dict(self._terms)
         for support, coeff in other._terms.items():
-            acc = out.get(support)
-            if acc is None:
-                out[support] = coeff
-            else:
-                acc = acc + coeff
-                if acc == 0:
-                    del out[support]
-                else:
-                    out[support] = acc
+            _add_term(out, support, coeff)
         return _wrap(out)
 
     __radd__ = __add__
@@ -134,16 +116,7 @@ class Polynomial:
             set1 = set(s1)
             for s2, c2 in other._terms.items():
                 # x^2 = x: the product support is the set union
-                key = tuple(sorted(set1.union(s2)))
-                acc = out.get(key)
-                if acc is None:
-                    out[key] = c1 * c2
-                else:
-                    acc = acc + c1 * c2
-                    if acc == 0:
-                        del out[key]
-                    else:
-                        out[key] = acc
+                _add_term(out, tuple(sorted(set1.union(s2))), c1 * c2)
         return _wrap(out)
 
     __rmul__ = __mul__
@@ -215,6 +188,18 @@ def _coerce(value: "Polynomial | Rational") -> Polynomial:
     if isinstance(value, Polynomial):
         return value
     return Polynomial.constant(value)
+
+
+def _add_term(terms: dict[Monomial, Fraction], support: Monomial,
+              coeff: Fraction) -> None:
+    """Add a nonzero coefficient into terms, dropping a sum of zero."""
+    acc = terms.get(support)
+    if acc is not None:
+        coeff += acc
+        if not coeff:
+            del terms[support]
+            return
+    terms[support] = coeff
 
 
 def _wrap(terms: dict[Monomial, Fraction]) -> Polynomial:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qdepth import greedy, gvs, optimize
+from qdepth import graph, greedy, gvs, optimize
 from qdepth.graph import IntGraph
 from qdepth.pubo import Polynomial
 
@@ -241,12 +241,13 @@ EXAMPLE1_CLAUSES = [
 
 def count_cover_work(monkeypatch) -> Counter:
     """Count the gvs graph builds ("gvs_graph") and the re-checks of a made
-    cover ("make_cover") wherever the solvers and `gvs.cover_graph` call
-    them.  The solvers' own make_cover calls, which make covers, are not
-    counted."""
+    cover ("make_cover") wherever the solvers, the command line and
+    `gvs.cover_graph` call them.  The solvers' own make_cover calls, which
+    make covers, are not counted."""
     calls = Counter()
     for module, name in [(gvs, "gvs_graph"), (greedy, "gvs_graph"),
-                         (optimize, "gvs_graph"), (gvs, "make_cover")]:
+                         (optimize, "gvs_graph"), (graph, "gvs_graph"),
+                         (gvs, "make_cover")]:
         def counted(*args, _real=getattr(module, name), _name=name):
             calls[_name] += 1
             return _real(*args)

@@ -34,7 +34,7 @@ from qdepth.gvs import (
     dualize_gvs,
     gvs_degree_table,
     gvs_derived_graph,
-    make_cover,
+    product_objective,
 )
 from qdepth.linear import (
     dualize_linear,
@@ -43,7 +43,7 @@ from qdepth.linear import (
     linear_report,
 )
 from qdepth.optimize import greedy_cover, solve_ip_exact
-from qdepth.product import product_objective
+from qdepth.product import make_cover
 from qdepth.pubo import VarId
 from qdepth.schedule import build_schedule, color_edges, color_hyperedges, native3_report
 

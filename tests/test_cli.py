@@ -175,6 +175,22 @@ class TestAnalyze:
         assert old.stat().st_mode & 0o777 == 0o640
         assert old.read_text().startswith("formulation:")
 
+    @pytest.mark.parametrize("existing", [True, False],
+                             ids=["link", "dangling-link"])
+    def test_output_through_a_symlink_writes_its_target(self, existing,
+                                                        tmp_path):
+        """-o follows a symlink as open() does: the link stays, and its
+        target, made if missing, gets the text."""
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        if existing:
+            target.write_text("stale\n")
+        link.symlink_to(target.name)
+        assert main(["inspect", "example1", "-o", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == "target.txt"
+        assert target.read_text().startswith("instance ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "link.txt", "target.txt"]
+
 
 class TestCompare:
     def test_json_validates(self, example1_path, capsys):
@@ -216,6 +232,15 @@ class TestCompare:
         assert main(["compare", str(example1_path), "--seeds", "2"]) == 0
         out = capsys.readouterr().out
         assert "instance" in out and "example1" in out
+
+    def test_timings_flag(self, capsys):
+        argv = ["compare", "example1", "--seeds", "2", "--format", "json"]
+        assert main(argv + ["--timings"]) == 0
+        (timed,) = json.loads(capsys.readouterr().out)["rows"]
+        assert isinstance(timed["wall_time"], float) and timed["wall_time"] > 0
+        assert main(argv) == 0
+        (plain,) = json.loads(capsys.readouterr().out)["rows"]
+        assert plain["wall_time"] is None
 
     def test_text_table_timings(self, example1_path, capsys):
         assert main(["compare", str(example1_path), "--seeds", "2"]) == 0
@@ -303,6 +328,15 @@ class TestExitCodes:
                      "-o", str(target)]) == 65
         assert capsys.readouterr().err == f"error: {reason}: '{target}'\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+
+    def test_link_to_an_unwritable_path_is_65_naming_the_link(self, tmp_path,
+                                                             capsys):
+        link = tmp_path / "link.txt"
+        link.symlink_to(tmp_path / "nodir" / "x.txt")
+        assert main(["inspect", "example1", "-o", str(link)]) == 65
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{link}'\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["link.txt"]
 
     def test_budget_exhaustion_is_2(self, tmp_path):
         rng = random.Random(5)
@@ -466,10 +500,10 @@ class TestImportBoundary:
           "qdepth.reports", "qdepth.schedule"]),
         (("analyze", "example1", "--method", "gvs-greedy"),
          ["qdepth.cli", "qdepth.cnf", "qdepth.graph", "qdepth.greedy",
-          "qdepth.gvs", "qdepth.product", "qdepth.reports"]),
+          "qdepth.product", "qdepth.reports"]),
         (("analyze", "example1", "--method", "gvs-ip"),
          ["qdepth.cli", "qdepth.cnf", "qdepth.graph", "qdepth.greedy",
-          "qdepth.gvs", "qdepth.ipmodel", "qdepth.optimize", "qdepth.product",
+          "qdepth.ipmodel", "qdepth.optimize", "qdepth.product",
           "qdepth.reports"]),
         (("histogram", "example1", "--method", "linear"),
          ["qdepth.cli", "qdepth.cnf", "qdepth.graph", "qdepth.product",
@@ -478,7 +512,7 @@ class TestImportBoundary:
          ["qdepth.cli", "qdepth.cnf", "qdepth.ipmodel", "qdepth.product"]),
         (("compare", "example1", "--seeds", "2"),
          ["qdepth.cli", "qdepth.cnf", "qdepth.graph", "qdepth.greedy",
-          "qdepth.gvs", "qdepth.ipmodel", "qdepth.optimize", "qdepth.product",
+          "qdepth.ipmodel", "qdepth.optimize", "qdepth.product",
           "qdepth.reports"]),
     ], ids=["inspect", "linear", "native3", "gvs-greedy", "gvs-ip",
             "histogram-linear", "export", "compare"])
@@ -556,9 +590,9 @@ class TestWorkPerCommand:
     """The CLI builds a gvs cover's graph once for its table and report."""
 
     @pytest.mark.parametrize("method,expected", [
-        ("gvs-greedy", {"gvs_graph": 1, "make_cover": 1}),
+        ("gvs-greedy", {"gvs_graph": 1}),
         # the solver's exact re-score builds the cover's graph once more
-        ("gvs-ip", {"gvs_graph": 2, "make_cover": 1}),
+        ("gvs-ip", {"gvs_graph": 2}),
     ])
     def test_cover_counted_once(self, method, expected, monkeypatch, capsys):
         calls = count_cover_work(monkeypatch)

@@ -8,15 +8,14 @@ from hypothesis import given, settings, strategies as st
 from qdepth.cnf import DegenerateClauseError, Instance, example1, make_instance
 from qdepth.graph import gvs_ancillas, linear_graph, native3_graph
 from qdepth.gvs import (
-    Cover,
-    InvalidCoverError,
+    clause_violation,
     cover_graph,
     dualize_gvs,
     gvs_addends,
     gvs_degree_table,
     gvs_derived_graph,
     gvs_report,
-    make_cover,
+    product_objective,
     substitute_clause,
     substitution_penalty,
     substitution_residuals,
@@ -27,7 +26,7 @@ from qdepth.linear import (
     linear_report,
 )
 from qdepth.optimize import enumerate_exact, greedy_cover, solve_ip_exact
-from qdepth.product import clause_violation, product_objective, quadratic_pairs
+from qdepth.product import Cover, InvalidCoverError, make_cover, quadratic_pairs
 from qdepth.pubo import Polynomial, VarId
 from qdepth.schedule import build_schedule, color_edges, native3_report
 
@@ -100,8 +99,6 @@ class TestSubstitution:
             vs = sorted(abs(l) for l in clause)
             pair = tuple(sorted(rng.sample(vs, 2)))
             original = substitute_clause(clause, pair)  # noqa: F841
-            from qdepth.product import clause_violation
-
             g = clause_violation(clause)
             gs = substitute_clause(clause, pair)
             for bits in itertools.product((0, 1), repeat=3):

@@ -6,13 +6,12 @@ import pytest
 from qdepth.cnf import DegenerateClauseError, Instance, example1, make_instance
 from qdepth.product import (
     candidate_pairs,
-    clause_violation,
     clause_triples,
     coverings,
     pair_index,
-    product_objective,
     quadratic_pairs,
 )
+from qdepth.gvs import clause_violation, product_objective
 from qdepth.graph import native3_graph
 from qdepth.pubo import Polynomial, VarId
 

@@ -4,11 +4,11 @@ import random
 import pytest
 
 from qdepth.cnf import example1, make_instance
-from qdepth.gvs import cover_graph, gvs_derived_graph, make_cover
+from qdepth.gvs import cover_graph, gvs_derived_graph, product_objective
 from qdepth.linear import linear_derived_graph
 from qdepth.optimize import greedy_cover
 from qdepth.graph import IntGraph, linear_graph, native3_graph
-from qdepth.product import product_objective
+from qdepth.product import make_cover
 from qdepth.pubo import Polynomial, derived_graph
 from qdepth.schedule import (
     ImproperColoringError,
