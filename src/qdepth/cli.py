@@ -10,8 +10,9 @@ Subcommands:
   fetch      download SATLIB benchmark instances used in the comparisons
 
 Exit codes: 0 success, 2 solver budget exhausted (with or without an
-incumbent), 64 usage errors, 65 unreadable or unparseable instance files
-and unwritable -o paths, 1 fetch/network failures.
+incumbent), 64 usage errors, 65 unparseable instance files and any OSError
+(unreadable inputs, unwritable -o paths, the solver's temporary MPS file),
+1 fetch/network failures; a 65 prints one `error:` line.
 
 Outputs are deterministic byte-for-byte unless --timings is passed; paths
 given to -o are written atomically (temp file plus rename).
@@ -200,7 +201,8 @@ def write_out(text: str, output: Path | None) -> None:
     """Write to stdout, or to `output` atomically: a temp file beside the
     file `output` names, given the mode `open(output, "w")` would leave,
     then renamed over that file.  A symlink is followed, as `open` follows
-    it: the link stays and its target, made if missing, gets the text.  An
+    it: the link stays and its target, made if missing, gets the text.  A
+    path `open` cannot resolve, such as a symlink loop, is an error.  An
     error names `output`, not the temp file or the link's target."""
     if output is None:
         sys.stdout.write(text)
@@ -211,10 +213,10 @@ def write_out(text: str, output: Path | None) -> None:
     umask = os.umask(0)
     os.umask(umask)
     try:
-        mode = os.stat(target).st_mode & 0o777
-    except OSError:
-        mode = 0o666 & ~umask
-    try:
+        try:
+            mode = os.stat(target).st_mode & 0o777
+        except FileNotFoundError:
+            mode = 0o666 & ~umask
         fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name,
                                    suffix=".tmp")
         try:
@@ -461,8 +463,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (DimacsError, DegenerateClauseError, FileNotFoundError,
-            IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+    except (DimacsError, DegenerateClauseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -113,6 +113,14 @@ def parse_dimacs(text: str) -> Instance:
     return instance
 
 
+def _integer(token: str, lineno: int, within: str = "") -> int:
+    """`-?[0-9]+` in ASCII; int() would also take '+2', '1_0', '٣' etc."""
+    digits = token.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise DimacsError(f"line {lineno}: non-integer {within}token {token!r}")
+    return int(token)
+
+
 def _read_dimacs(text: str) -> Instance:
     num_vars = None
     declared_clauses = None
@@ -131,22 +139,15 @@ def _read_dimacs(text: str) -> Instance:
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise DimacsError(f"line {lineno}: expected 'p cnf <vars> <clauses>'")
-            try:
-                num_vars, declared_clauses = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise DimacsError(f"line {lineno}: non-integer problem line") from None
+            num_vars, declared_clauses = (
+                _integer(token, lineno, "problem line ") for token in fields[2:])
             if num_vars < 0 or declared_clauses < 0:
                 raise DimacsError(f"line {lineno}: negative counts")
             continue
         if num_vars is None:
             raise DimacsError(f"line {lineno}: clause data before problem line")
         for token in line.split():
-            try:
-                lit = int(token)
-            except ValueError:
-                raise DimacsError(
-                    f"line {lineno}: non-integer token {token!r}"
-                ) from None
+            lit = _integer(token, lineno)
             if lit == 0:
                 clauses.append(
                     _canonical_clause(pending, f"#{len(clauses)} (line {lineno})")

@@ -14,8 +14,9 @@ so greedy's seeded draws and the program's y columns follow one sorted
 pair order.  This module holds the two exact solvers and the comparison
 built on all three, and re-exports `build_ip`, `export_lp`,
 `greedy_cover` and `greedy_batch` so callers reach every solver here.
-Every solver returns a `product.Cover` and reads its Δ from
-`graph.gvs_graph`; none needs the polynomial oracle `gvs`.
+Every solver returns a `product.Cover` and builds its result through
+`_solution`, which reads Δ from `graph.gvs_graph`; none needs the
+polynomial oracle `gvs`.
 
 `solve_ip_exact` hands the program to HiGHS through scipy; results are
 re-scored in exact rational arithmetic, so the reported optimum never
@@ -70,16 +71,18 @@ class IpSolution(NamedTuple):
     status is "optimal" when optimality was proven within budget,
     "feasible_bound" when time ran out with an incumbent in hand (then
     lower_bound brackets the true optimum from below), and "timed_out" when
-    not even an incumbent was found.  Degree, cover and objective are exact
-    values recomputed from the extracted cover, never the solver's floats.
+    not even an incumbent was found (`IpSolution("timed_out")`, every other
+    field None).  `_solution` builds every other result: degree,
+    substitution count and objective are exact values recomputed from the
+    cover, never the solver's floats.
     """
 
     status: str
-    cover: Cover | None
-    max_degree: int | None
-    num_substitutions: int | None
-    objective: Fraction | None
-    lower_bound: int | None
+    cover: Cover | None = None
+    max_degree: int | None = None
+    num_substitutions: int | None = None
+    objective: Fraction | None = None
+    lower_bound: int | None = None
 
 
 def _degree_lower_bound(dual_bound: float, num_pairs: int, m: int) -> int | None:
@@ -106,11 +109,17 @@ def _extract_cover(model: IpModel, x: Sequence[float]) -> Cover:
     return make_cover(model.instance, choice)
 
 
-def _score(instance: Instance, cover: Cover, degree: int) -> Fraction:
-    """Exact objective value of a cover of max degree `degree`: the degree
-    plus the tie-break mass."""
-    return degree + Fraction(cover.num_substitutions,
-                             tie_break_denominator(instance.num_clauses))
+def _solution(instance: Instance, status: str, cover: Cover,
+              lower_bound: int | None = None) -> IpSolution:
+    """The result for `cover`: Δ read from its graph, and the program's
+    objective Δ + substitutions / tie_break_denominator(|C|), exactly.  An
+    optimal result is its own lower bound."""
+    degree = gvs_graph(instance, cover.pairs).max_degree()
+    subs = cover.num_substitutions
+    objective = degree + Fraction(subs,
+                                  tie_break_denominator(instance.num_clauses))
+    lower = degree if status == "optimal" else lower_bound
+    return IpSolution(status, cover, degree, subs, objective, lower)
 
 
 SCIPY_FLOOR = "1.15"  # first release with scipy/optimize/_highspy/_core
@@ -173,23 +182,16 @@ def solve_ip_exact(
     elif limited and math.isfinite(info.objective_function_value):
         status = "feasible_bound"
     elif limited:
-        return IpSolution("timed_out", None, None, None, None, None)
+        return IpSolution("timed_out")
     else:
         raise ModelError("solver failed on a feasible model: "
                          + highs.modelStatusToString(model_status))
 
-    cover = _extract_cover(model, highs.getSolution().col_value)
-    degree = gvs_graph(instance, cover.pairs).max_degree()
-    lower = degree if status == "optimal" else _degree_lower_bound(
+    lower = None if status == "optimal" else _degree_lower_bound(
         info.mip_dual_bound, len(model.pairs), instance.num_clauses)
-    return IpSolution(
-        status=status,
-        cover=cover,
-        max_degree=degree,
-        num_substitutions=cover.num_substitutions,
-        objective=_score(instance, cover, degree),
-        lower_bound=lower,
-    )
+    return _solution(instance, status,
+                     _extract_cover(model, highs.getSolution().col_value),
+                     lower)
 
 
 def enumerate_exact(instance: Instance) -> IpSolution:
@@ -199,11 +201,12 @@ def enumerate_exact(instance: Instance) -> IpSolution:
     distinct (pair, free variable) keys, instead of the shared graph
     builder, so agreement with the integer program is a genuine cross-check
     (of its ties between repeated triples too, since every choice is tried).
-    Ties resolve to the first minimizer in lexicographic choice order,
-    making the returned cover deterministic.
+    Each choice scores as the int pair (Δ, substitutions), which orders
+    covers as the program's objective does, since substitutions <= |C| stay
+    below its denominator 10 |C|.  Ties resolve to the first minimizer in
+    lexicographic choice order, making the returned cover deterministic.
     """
     m = instance.num_clauses
-    denominator = tie_break_denominator(m)
     quad = quadratic_pairs(instance)
     p_count = Counter(v for p in quad for v in p)
     variables = instance.used_variables()
@@ -215,7 +218,7 @@ def enumerate_exact(instance: Instance) -> IpSolution:
              for pair in combinations(vs, 2)]
         )
 
-    best: Fraction | None = None
+    best: tuple[int, int] | None = None
     best_choice = None
     for choice in product(*clause_options):
         keys = set(choice)
@@ -229,25 +232,17 @@ def enumerate_exact(instance: Instance) -> IpSolution:
                     d += 3 if p in quad else 4
             if d > delta:
                 delta = d
-        value = Fraction(delta) + Fraction(len(used), denominator)
+        value = (delta, len(used))
         if best is None or value < best:
             best = value
             best_choice = choice
 
     assert best_choice is not None
-    cover = make_cover(instance, [pair for pair, _ in best_choice])
-    degree = gvs_graph(instance, cover.pairs).max_degree()
-    value = _score(instance, cover, degree)
-    if value != best:
+    solution = _solution(instance, "optimal", make_cover(
+        instance, [pair for pair, _ in best_choice]))
+    if (solution.max_degree, solution.num_substitutions) != best:
         raise ModelError("inline degree count disagrees with the graph")
-    return IpSolution(
-        status="optimal",
-        cover=cover,
-        max_degree=degree,
-        num_substitutions=cover.num_substitutions,
-        objective=value,
-        lower_bound=degree,
-    )
+    return solution
 
 
 def compare_instance(

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qdepth.cli import main
 from qdepth.cnf import example1, make_instance, to_dimacs
@@ -313,21 +314,47 @@ class TestExitCodes:
     def test_missing_file_is_65(self, capsys):
         assert main(["inspect", "no-such-file.cnf"]) == 65
 
+    LOOP = "[Errno 40] Too many levels of symbolic links: 'loop'"
+
+    @pytest.mark.parametrize("argv, error", [
+        (("inspect", "a" * 300),
+         f"[Errno 36] File name too long: '{'a' * 300}'"),
+        (("inspect", "loop"), LOOP),
+        (("export", "loop", "-o", "x.lp"), LOOP),
+        (("compare", "example1", "loop"), LOOP),
+    ], ids=["name-too-long", "inspect-loop", "export-loop", "compare-loop"])
+    def test_unreadable_input_is_65_naming_it(self, argv, error, tmp_path,
+                                              monkeypatch, capsys):
+        """Any OSError on an instance path is one error line and exit 65."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "loop").symlink_to("loop")
+        assert main(list(argv)) == 65
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["loop"]
+
     @pytest.mark.parametrize("where, reason", [
         ("nodir/x.txt", "[Errno 2] No such file or directory"),
         ("adir", "[Errno 21] Is a directory"),
         ("afile/x.txt", "[Errno 20] Not a directory"),
+        pytest.param("loop", "[Errno 40] Too many levels of symbolic links",
+                     id="symlink-loop"),
+        pytest.param("a" * 300, "[Errno 36] File name too long",
+                     id="name-too-long"),
     ])
     def test_unwritable_output_is_65_naming_it(self, where, reason, tmp_path,
                                                capsys):
-        """The error names the -o path, and no temp file is left behind."""
+        """The error names the -o path, no temp file is left behind, and a
+        symlink loop stays a link."""
         (tmp_path / "adir").mkdir()
         (tmp_path / "afile").write_text("")
+        (tmp_path / "loop").symlink_to("loop")
         target = tmp_path / where
         assert main(["analyze", "example1", "--method", "linear",
                      "-o", str(target)]) == 65
         assert capsys.readouterr().err == f"error: {reason}: '{target}'\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "adir", "afile", "loop"]
+        assert os.readlink(tmp_path / "loop") == "loop"
 
     def test_link_to_an_unwritable_path_is_65_naming_the_link(self, tmp_path,
                                                              capsys):
@@ -337,6 +364,38 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: [Errno 2] No such file or directory: '{link}'\n")
         assert [p.name for p in tmp_path.iterdir()] == ["link.txt"]
+
+    DIMACS_TOKENS = st.one_of(
+        st.sampled_from(["p", "cnf", "c", "%", "0", "-", "+", "_"]),
+        st.from_regex(r"[-+]?[0-9_]{1,3}", fullmatch=True))
+    DIMACS_LINES = st.one_of(
+        st.lists(st.sampled_from("123456789"), min_size=3, max_size=3).map(
+            lambda vs: " ".join(vs[:2] + ["-" + vs[2], "0"])),
+        st.lists(DIMACS_TOKENS, max_size=6).map(" ".join))
+    DIMACS_LIKE = st.one_of(
+        st.text(alphabet="0123456789-+pc%_ \n", max_size=60),
+        st.lists(DIMACS_LINES, max_size=8).map("\n".join),
+        st.lists(DIMACS_LINES, min_size=1, max_size=6).map(
+            lambda lines: "\n".join([f"p cnf 9 {len(lines)}", *lines])))
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=DIMACS_LIKE)
+    def test_bad_input_maps_to_documented_exit_codes(self, text, tmp_path,
+                                                     capsys):
+        """Whatever the text, a command exits 0 or 65, and stderr holds at
+        most warning lines and one closing error line."""
+        path = tmp_path / "any.cnf"
+        path.write_text(text)
+        for argv in (["inspect"], ["analyze", "--method", "linear"],
+                     ["analyze", "--method", "native3"]):
+            code = main([argv[0], str(path), *argv[1:]])
+            lines = capsys.readouterr().err.splitlines()
+            assert code in (0, 65)
+            errors = [line for line in lines if line.startswith("error: ")]
+            assert errors == ([lines[-1]] if code == 65 else [])
+            assert all(line.startswith("qdepth: warning: ")
+                       for line in lines[:len(lines) - len(errors)])
 
     def test_budget_exhaustion_is_2(self, tmp_path):
         rng = random.Random(5)

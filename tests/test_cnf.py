@@ -73,6 +73,13 @@ def test_round_trip():
         ("p cnf 3 1\n1 2 3", "not terminated"),
         ("p cnf 3 2\n1 2 3 0", "declares 2 clauses"),
         ("p cnf 3 1\n1 two 3 0", "non-integer token"),
+        ("p cnf 12 1\n1_0 2 -3 0", "line 2: non-integer token '1_0'"),
+        ("p cnf 12 1\n10 +2 -3 0", r"line 2: non-integer token '\+2'"),
+        ("p cnf 12 1\n10 2 -0_3 0", "line 2: non-integer token '-0_3'"),
+        ("p cnf 12 1\n10 2 --3 0", "line 2: non-integer token '--3'"),
+        ("p cnf 12 1\n10 2 \u0663 0", "line 2: non-integer token '\u0663'"),
+        ("p cnf 1_2 1\n1 2 3 0", "line 1: non-integer problem line token '1_2'"),
+        ("p cnf 3 +1\n1 2 3 0", r"line 1: non-integer problem line token '\+1'"),
         ("", "missing problem line"),
     ],
 )

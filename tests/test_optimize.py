@@ -30,7 +30,6 @@ from qdepth.optimize import (
     greedy_cover,
     _degree_lower_bound,
     _highs,
-    _score,
     solve_ip_exact,
 )
 
@@ -292,13 +291,14 @@ def reference_solve(instance, budget_secs=300.0):
     else:
         raise ModelError(res.message)
     if res.x is None:  # milp reports no dual bound without an incumbent
-        return IpSolution(status, None, None, None, None, None)
+        return IpSolution(status)
     cover = _extract_cover(model, res.x)
     degree = cover_graph(instance, cover).max_degree()
+    subs = cover.num_substitutions
+    objective = degree + Fraction(subs, 10 * max(instance.num_clauses, 1))
     lower = degree if status == "optimal" else _degree_lower_bound(
         res.mip_dual_bound, len(model.pairs), instance.num_clauses)
-    return IpSolution(status, cover, degree, cover.num_substitutions,
-                      _score(instance, cover, degree), lower)
+    return IpSolution(status, cover, degree, subs, objective, lower)
 
 
 def draw_3sat(n, m, rng):
@@ -337,7 +337,7 @@ class TestSolverSwap:
     def test_zero_budget_times_out_on_both(self):
         inst = make_instance(random_3sat_instance(random.Random(5), 50, 218),
                              num_vars=50)
-        expected = IpSolution("timed_out", None, None, None, None, None)
+        expected = IpSolution("timed_out")
         assert reference_solve(inst, 0.0) == expected
         assert solve_ip_exact(inst, 0.0) == expected
 
@@ -487,13 +487,13 @@ class TestLimitedSolves:
         assert sol.max_degree == 48
         assert sol.lower_bound == 41
         assert cover_graph(inst, sol.cover).max_degree() == 48
-        assert sol.objective == _score(inst, sol.cover, 48)
+        assert sol.objective == 48 + Fraction(
+            sol.cover.num_substitutions, 10 * inst.num_clauses)
 
     @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
     def test_limit_without_incumbent_times_out(self, monkeypatch):
         self.preset(monkeypatch, mip_max_nodes=0)
-        assert solve_ip_exact(uf50_draw()) == IpSolution(
-            "timed_out", None, None, None, None, None)
+        assert solve_ip_exact(uf50_draw()) == IpSolution("timed_out")
 
 
 class TestExport:
@@ -673,14 +673,6 @@ class TestRepeatedTriples:
         assert sol.status == "optimal"
         assert sol.max_degree == delta
         assert gvs_derived_graph(inst, sol.cover).max_degree() == delta
-
-
-class TestScore:
-    def test_score_matches_parts(self):
-        inst = example1()
-        sol = enumerate_exact(inst)
-        degree = cover_graph(inst, sol.cover).max_degree()
-        assert _score(inst, sol.cover, degree) == sol.objective
 
 
 class TestWorkPerCover:
