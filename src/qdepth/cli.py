@@ -148,11 +148,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def budget_secs(text: str) -> float:
-    """--budget and QDEPTH_BUDGET_SECS: seconds >= 0, or inf."""
+    """--budget and QDEPTH_BUDGET_SECS: seconds >= 0, or inf; -0 is 0."""
     try:
         value = float(text)
         if value >= 0:  # false for nan too
-            return value
+            return abs(value)
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(
@@ -217,7 +217,8 @@ def write_out(text: str, output: Path | None) -> None:
             mode = os.stat(target).st_mode & 0o777
         except FileNotFoundError:
             mode = 0o666 & ~umask
-        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name,
+        # a short fixed prefix: the target's own name may fill NAME_MAX
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".qdepth-",
                                    suffix=".tmp")
         try:
             os.fchmod(fd, mode)  # mkstemp makes it 0600
@@ -234,10 +235,10 @@ def write_out(text: str, output: Path | None) -> None:
 def run_method(inst: Instance, args):
     """The one dispatch over METHODS, importing only what the method runs.
 
-    Picks the method's graph, built once, and its ancilla names, and reads
-    the degree table and the report from it.  Returns (degree table,
-    DepthReport, exit code).  Exits with EXIT_BUDGET when the exact solve
-    finds no cover within the budget.
+    Picks the method's graph, built once (gvs-ip's by the solver), and its
+    ancilla names, and reads the degree table and the report from it.
+    Returns (degree table, DepthReport, exit code).  Exits with EXIT_BUDGET
+    when the exact solve finds no cover within the budget.
     """
     from .graph import (gvs_ancillas, gvs_graph, linear_ancillas,
                          linear_graph, native3_graph)
@@ -250,15 +251,17 @@ def run_method(inst: Instance, args):
         graph = linear_graph(inst)
         ancillas = linear_ancillas(inst)
     elif args.method == "native3":
-        from .schedule import native3_layers
+        from .schedule import build_schedule
 
         graph = native3_graph(inst)
-        fields["depth_upper"] = native3_layers(graph) + 1
+        fields["depth_upper"] = build_schedule(graph).depth
     else:
+        # both solvers make the cover with make_cover, which checks it
         if args.method == "gvs-greedy":
             from .greedy import greedy_cover
 
             cover = greedy_cover(inst, args.seed)
+            graph = gvs_graph(inst, cover.pairs)
         else:
             from .optimize import solve_ip_exact
 
@@ -270,12 +273,10 @@ def run_method(inst: Instance, args):
                     file=sys.stderr,
                 )
                 raise SystemExit(EXIT_BUDGET)
-            cover = sol.cover
+            cover, graph = sol.cover, sol.graph
             fields["solver_status"] = sol.status
             if sol.status != "optimal":
                 exit_code = EXIT_BUDGET
-        # both solvers made the cover with make_cover, which checked it
-        graph = gvs_graph(inst, cover.pairs)
         ancillas = gvs_ancillas(cover.pairs)
         fields["substitutions"] = cover.num_substitutions
     table = graph.degree_table(ancillas)

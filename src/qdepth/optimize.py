@@ -50,7 +50,7 @@ from typing import Iterable, NamedTuple, Sequence
 from . import DEFAULT_BUDGET_SECS
 from .cnf import Instance
 from .greedy import greedy_batch, greedy_cover  # noqa: F401 - re-exported
-from .graph import gvs_graph, linear_graph
+from .graph import IntGraph, gvs_graph, linear_graph
 from .ipmodel import (IpModel, _mps_text, build_ip,  # noqa: F401 - re-exported
                       export_lp, tie_break_denominator)
 from .product import Cover, Pair, make_cover, quadratic_pairs
@@ -74,7 +74,8 @@ class IpSolution(NamedTuple):
     not even an incumbent was found (`IpSolution("timed_out")`, every other
     field None).  `_solution` builds every other result: degree,
     substitution count and objective are exact values recomputed from the
-    cover, never the solver's floats.
+    cover, never the solver's floats, and graph is the cover's
+    `graph.gvs_graph`, the one Δ is read from.
     """
 
     status: str
@@ -83,6 +84,7 @@ class IpSolution(NamedTuple):
     num_substitutions: int | None = None
     objective: Fraction | None = None
     lower_bound: int | None = None
+    graph: IntGraph | None = None
 
 
 def _degree_lower_bound(dual_bound: float, num_pairs: int, m: int) -> int | None:
@@ -111,15 +113,16 @@ def _extract_cover(model: IpModel, x: Sequence[float]) -> Cover:
 
 def _solution(instance: Instance, status: str, cover: Cover,
               lower_bound: int | None = None) -> IpSolution:
-    """The result for `cover`: Δ read from its graph, and the program's
+    """The result for `cover`: its graph, Δ read from it, and the program's
     objective Δ + substitutions / tie_break_denominator(|C|), exactly.  An
     optimal result is its own lower bound."""
-    degree = gvs_graph(instance, cover.pairs).max_degree()
+    graph = gvs_graph(instance, cover.pairs)
+    degree = graph.max_degree()
     subs = cover.num_substitutions
     objective = degree + Fraction(subs,
                                   tie_break_denominator(instance.num_clauses))
     lower = degree if status == "optimal" else lower_bound
-    return IpSolution(status, cover, degree, subs, objective, lower)
+    return IpSolution(status, cover, degree, subs, objective, lower, graph)
 
 
 SCIPY_FLOOR = "1.15"  # first release with scipy/optimize/_highspy/_core

@@ -27,8 +27,8 @@ class DepthReport(NamedTuple):
     every formulation sets depth_lower = Δ + 1.  depth_upper is
       linear, gvs  Δ + 2: simple graphs, which Misra-Gries colors with at
                    most Δ + 1 layers;
-      native3      the layers of its hyperedges' conflict-graph coloring
-                   plus one, with no Δ + 2 promise.
+      native3      the cost layers of its built schedule, plus one, with
+                   no Δ + 2 promise.
     """
 
     formulation: str

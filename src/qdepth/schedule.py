@@ -6,13 +6,15 @@ layering of a simple graph's gates is exactly a proper edge coloring.
 `color_edges` implements the Misra-Gries construction, which always lands
 within one color of the chromatic index (at most max degree + 1), in
 polynomial time and deterministically.  For cubic terms the interaction
-structure is a hypergraph; `color_hyperedges` colors its conflict graph,
-exactly for small inputs and greedily beyond that.  Colorings and layers
-are keyed by the graph's own sorted int-tuple edges.
+structure is a hypergraph; `color_hyperedges` colors it greedily from the
+colors already present at each vertex, and exactly for small inputs.
+Colorings and layers are keyed by the graph's own sorted int-tuple edges.
 
 A schedule adds one mixer layer after the cost layers, so its depth is the
-number of colors plus one.  Single-qubit rotations commute with everything
-diagonal and fold into neighbouring cost layers; a graph holds none of them.
+number of colors plus one; native3 reports the depth of the schedule
+`build_schedule` builds and checks for its graph.  Single-qubit rotations
+commute with everything diagonal and fold into neighbouring cost layers; a
+graph holds none of them.
 """
 
 from __future__ import annotations
@@ -142,31 +144,19 @@ def color_edges(graph: IntGraph) -> dict[Edge, int]:
     return colors
 
 
-def _conflict_adjacency(edges: list[Edge]) -> list[set[int]]:
-    # two edges conflict when they share a vertex, so each vertex's incident
-    # edges are pairwise adjacent: the cost is the sum of squared degrees,
-    # not a test of every pair of edges
-    incident: dict[int, list[int]] = {}
-    for i, e in enumerate(edges):
-        for v in e:
-            incident.setdefault(v, []).append(i)
-    adj: list[set[int]] = [set() for _ in edges]
-    for ids in incident.values():
-        for i in ids:
-            adj[i].update(ids)
-    for i, neighbours in enumerate(adj):
-        neighbours.discard(i)
-    return adj
-
-
-def _greedy_conflict_coloring(edges: list[Edge], adj) -> list[int]:
-    assigned = [-1] * len(edges)
-    for i in range(len(edges)):
-        taken = {assigned[j] for j in adj[i] if assigned[j] >= 0}
+def _greedy_coloring(edges: list[Edge]) -> list[int]:
+    # an edge conflicts exactly with the edges at its vertices, so the
+    # colors already taken at those vertices are all it has to avoid
+    at: dict[int, set[int]] = {}
+    assigned = []
+    for e in edges:
+        taken = set().union(*(at.setdefault(v, set()) for v in e))
         col = 0
         while col in taken:
             col += 1
-        assigned[i] = col
+        assigned.append(col)
+        for v in e:
+            at[v].add(col)
     return assigned
 
 
@@ -196,9 +186,12 @@ def _place(pos: int, highest: int, k: int, order, adj, assigned) -> bool:
     return False
 
 
-def _exact_conflict_coloring(edges: list[Edge], adj) -> list[int]:
+def _exact_coloring(edges: list[Edge], greedy: list[int]) -> list[int]:
     n = len(edges)
-    greedy = _greedy_conflict_coloring(edges, adj)
+    # at most EXACT_COLORING_LIMIT edges, so every pair is tested
+    adj = [{j for j, f in enumerate(edges)
+            if j != i and not set(e).isdisjoint(f)}
+           for i, e in enumerate(edges)]
     upper = max(greedy) + 1 if n else 0
     lower = _max_clique_size(0, set(range(n)), adj, 1 if n else 0)
     order = sorted(range(n), key=lambda i: (-len(adj[i]), i))
@@ -215,15 +208,15 @@ EXACT_COLORING_LIMIT = 12
 def color_hyperedges(graph: IntGraph) -> dict[Edge, int]:
     """Layer hyperedges so that no two sharing a vertex get one color.
 
-    Vertex-colors the conflict graph of the hyperedges: exactly (minimal
-    color count) up to EXACT_COLORING_LIMIT edges, greedily above that.
+    Greedily, in sorted edge order, each hyperedge takes the smallest color
+    not yet present at any of its vertices.  Up to EXACT_COLORING_LIMIT
+    edges, a backtracking search over the edges' conflicts then lowers that
+    to the minimal color count.
     """
     edges = sorted(graph.edges)
-    adj = _conflict_adjacency(edges)
+    assigned = _greedy_coloring(edges)
     if len(edges) <= EXACT_COLORING_LIMIT:
-        assigned = _exact_conflict_coloring(edges, adj)
-    else:
-        assigned = _greedy_conflict_coloring(edges, adj)
+        assigned = _exact_coloring(edges, assigned)
     return dict(zip(edges, assigned))
 
 
@@ -292,18 +285,13 @@ def build_schedule(
     return Schedule(tuple(layers))
 
 
-def native3_layers(graph: IntGraph) -> int:
-    """Cost layers of running a native3 graph's hyperedges: the colors of
-    `color_hyperedges`."""
-    return len(set(color_hyperedges(graph).values()))
-
-
 def native3_report(instance: Instance) -> DepthReport:
     """Depth of running the cubic encoding directly with three-qubit blocks.
 
     One gate block per distinct clause triple; blocks conflict when clauses
     share a variable.  The block count per variable lower-bounds the colors,
-    so depth_lower = maxdeg + 1, with no Vizing-style +1 guarantee above it.
+    so depth_lower = maxdeg + 1, with no Vizing-style +1 guarantee above it;
+    depth_upper is the depth of the schedule `build_schedule` builds.
     """
     graph = native3_graph(instance)
-    return graph_report("native3", graph, native3_layers(graph) + 1)
+    return graph_report("native3", graph, build_schedule(graph).depth)

@@ -356,6 +356,16 @@ class TestExitCodes:
             "adir", "afile", "loop"]
         assert os.readlink(tmp_path / "loop") == "loop"
 
+    @pytest.mark.parametrize("length", [244, 255])
+    def test_long_output_name_is_written(self, length, tmp_path, capsys):
+        """A name `open` accepts, up to NAME_MAX bytes, is written: the temp
+        file beside it does not take its name."""
+        target = tmp_path / ("c" * length)
+        assert main(["inspect", "example1", "-o", str(target)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert "num_clauses" in target.read_text()
+        assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
     def test_link_to_an_unwritable_path_is_65_naming_the_link(self, tmp_path,
                                                              capsys):
         link = tmp_path / "link.txt"
@@ -449,6 +459,21 @@ class TestExitCodes:
         assert err == (
             "qdepth: error: QDEPTH_BUDGET_SECS: budget must be a number of "
             f"seconds >= 0, or inf; got {value!r}\n")
+
+    @pytest.mark.parametrize("env", [None, "-0"], ids=["flag", "env"])
+    def test_negative_zero_budget_is_zero(self, env, monkeypatch, capsys):
+        argv = ["analyze", "example1", "--method", "gvs-ip"]
+        if env is None:
+            argv += ["--budget", "-0"]
+        else:
+            monkeypatch.setenv("QDEPTH_BUDGET_SECS", env)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "no substitution choice found "
+                                       "within 0s; raise --budget or "
+                                       "QDEPTH_BUDGET_SECS\n")
+        assert main(["compare", "example1", "--seeds", "1", "--budget", "-0",
+                     "--format", "json"]) == 2
+        assert '"budget_secs": 0.0,' in capsys.readouterr().out
 
     def test_infinite_budget_is_accepted(self, capsys):
         assert main(["analyze", "example1", "--method", "gvs-ip",
@@ -646,12 +671,12 @@ class TestImportBoundary:
 
 
 class TestWorkPerCommand:
-    """The CLI builds a gvs cover's graph once for its table and report."""
+    """A gvs cover's graph is built once, by the CLI or by the exact solver
+    whose Δ it is, for the table and the report."""
 
     @pytest.mark.parametrize("method,expected", [
         ("gvs-greedy", {"gvs_graph": 1}),
-        # the solver's exact re-score builds the cover's graph once more
-        ("gvs-ip", {"gvs_graph": 2}),
+        ("gvs-ip", {"gvs_graph": 1}),
     ])
     def test_cover_counted_once(self, method, expected, monkeypatch, capsys):
         calls = count_cover_work(monkeypatch)

@@ -293,12 +293,13 @@ def reference_solve(instance, budget_secs=300.0):
     if res.x is None:  # milp reports no dual bound without an incumbent
         return IpSolution(status)
     cover = _extract_cover(model, res.x)
-    degree = cover_graph(instance, cover).max_degree()
+    graph = cover_graph(instance, cover)
+    degree = graph.max_degree()
     subs = cover.num_substitutions
     objective = degree + Fraction(subs, 10 * max(instance.num_clauses, 1))
     lower = degree if status == "optimal" else _degree_lower_bound(
         res.mip_dual_bound, len(model.pairs), instance.num_clauses)
-    return IpSolution(status, cover, degree, subs, objective, lower)
+    return IpSolution(status, cover, degree, subs, objective, lower, graph)
 
 
 def draw_3sat(n, m, rng):

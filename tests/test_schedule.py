@@ -11,9 +11,9 @@ from qdepth.graph import IntGraph, linear_graph, native3_graph
 from qdepth.product import make_cover
 from qdepth.pubo import Polynomial, derived_graph
 from qdepth.schedule import (
+    EXACT_COLORING_LIMIT,
     ImproperColoringError,
     NotSimpleGraphError,
-    _conflict_adjacency,
     build_schedule,
     color_edges,
     color_hyperedges,
@@ -56,6 +56,17 @@ def pairwise_conflicts(edges):
             adj[i].add(j)
             adj[j].add(i)
     return adj
+
+
+def greedy_conflict_coloring(edges):
+    """Sorted edges in turn, each the smallest color none of its conflicts
+    in `pairwise_conflicts` holds yet; test-only oracle."""
+    adj = pairwise_conflicts(edges)
+    assigned = [-1] * len(edges)
+    for i in range(len(edges)):
+        taken = {assigned[j] for j in adj[i]}
+        assigned[i] = next(c for c in itertools.count() if c not in taken)
+    return assigned
 
 
 def reference_color_edges(graph):
@@ -222,22 +233,43 @@ class TestHyperedgeColoring:
         assert color_hyperedges(g) == color_hyperedges(g)
 
     @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
-    def test_conflict_adjacency_matches_pairwise_scan(self):
-        # criterion 9's simple graphs, then native3 hypergraphs of formulas
-        # whose clauses share variable triples
+    def test_matches_greedy_over_pairwise_conflicts(self):
+        """Above EXACT_COLORING_LIMIT edges the coloring is the greedy over
+        every pair's conflicts; at or below it, never more colors."""
+        # criterion 9's simple graphs, native3 hypergraphs of formulas whose
+        # clauses share variable triples, and hypergraphs of pairs and triples
         rng = random.Random(911)
         graphs = [random_graph(rng, max_vertices=60) for _ in range(40)]
-        graphs.append(native3_graph(
-            make_instance([(1, 2, 3), (-1, 2, 3), (3, 4, 5)])))
-        for n in (4, 5, 8, 20):
+        repeats = 0
+        for n in (4, 5, 8, 20, 50):
             for _ in range(3):
-                clauses = [tuple(v if rng.random() < 0.5 else -v
-                                 for v in rng.sample(range(1, n + 1), 3))
-                           for _ in range(round(4.26 * n))]
-                graphs.append(native3_graph(make_instance(clauses)))
+                inst = make_instance(
+                    [tuple(v if rng.random() < 0.5 else -v
+                           for v in rng.sample(range(1, n + 1), 3))
+                     for _ in range(round(4.26 * n))])
+                graph = native3_graph(inst)
+                repeats += (len(graph.edges) > EXACT_COLORING_LIMIT
+                            and len(graph.edges) < inst.num_clauses)
+                graphs.append(graph)
+        for _ in range(30):
+            n = rng.randint(4, 16)
+            graphs.append(IntGraph(n, frozenset(
+                tuple(sorted(rng.sample(range(1, n + 1), rng.choice((2, 3)))))
+                for _ in range(rng.randint(1, 60)))))
+        assert repeats >= 3
+        assert sum({len(e) for e in g.edges} == {2, 3}
+                   and len(g.edges) > EXACT_COLORING_LIMIT
+                   for g in graphs) >= 15
         for g in graphs:
             edges = sorted(g.edges)
-            assert _conflict_adjacency(edges) == pairwise_conflicts(edges)
+            greedy = dict(zip(edges, greedy_conflict_coloring(edges)))
+            coloring = color_hyperedges(g)
+            if len(edges) > EXACT_COLORING_LIMIT:
+                assert coloring == greedy
+            else:
+                assert set(coloring) == set(greedy)
+                assert (len(set(coloring.values()))
+                        <= len(set(greedy.values())))
 
 
 class TestSchedule:
