@@ -14,8 +14,9 @@ incumbent), 64 usage errors, 65 unparseable instance files and any OSError
 (unreadable inputs, unwritable -o paths, the solver's temporary MPS file),
 1 fetch/network failures; a 65 prints one `error:` line.
 
-Outputs are deterministic byte-for-byte unless --timings is passed; paths
-given to -o are written atomically (temp file plus rename).
+Outputs are deterministic byte-for-byte unless --timings is passed; a
+regular file or new path given to -o is written atomically (temp file plus
+rename), and a pipe or device is written in place.
 
 The package has two layers.  The structure layer (`cnf`, `product`,
 `graph`, `reports`, `schedule`, `greedy`, `ipmodel`, `optimize`, `cli`)
@@ -198,25 +199,36 @@ def load_instance(source: str) -> tuple[str, Instance]:
 
 
 def write_out(text: str, output: Path | None) -> None:
-    """Write to stdout, or to `output` atomically: a temp file beside the
-    file `output` names, given the mode `open(output, "w")` would leave,
-    then renamed over that file.  A symlink is followed, as `open` follows
-    it: the link stays and its target, made if missing, gets the text.  A
-    path `open` cannot resolve, such as a symlink loop, is an error.  An
-    error names `output`, not the temp file or the link's target."""
+    """Write to stdout, or to `output`.  A regular file, or a path not there
+    yet, is written atomically: a temp file beside the file `output` names,
+    given the mode `open(output, "w")` would leave, then renamed over that
+    file.  Anything else there, such as a pipe or a device, is opened and
+    written in place.  A symlink is followed, as `open` follows it: the link
+    stays and its target, made if missing, gets the text.  A path `open`
+    cannot resolve, such as a symlink loop, is an error.  An error names
+    `output`, not the temp file or the link's target."""
     if output is None:
         sys.stdout.write(text)
         return
+    import stat
     import tempfile
 
-    target = Path(os.path.realpath(output))
     umask = os.umask(0)
     os.umask(umask)
     try:
         try:
-            mode = os.stat(target).st_mode & 0o777
+            # stat the path itself, following links as open does: a pipe's
+            # realpath, /proc/<pid>/fd/pipe:[N], names no file
+            st = os.stat(output)
         except FileNotFoundError:
             mode = 0o666 & ~umask
+        else:
+            if not stat.S_ISREG(st.st_mode):
+                with open(output, "w") as fh:
+                    fh.write(text)
+                return
+            mode = st.st_mode & 0o777
+        target = Path(os.path.realpath(output))
         # a short fixed prefix: the target's own name may fill NAME_MAX
         fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".qdepth-",
                                    suffix=".tmp")
@@ -394,8 +406,8 @@ def cmd_export(args) -> int:
 
 
 def cmd_fetch(args) -> int:
+    import io
     import tarfile
-    import tempfile
     import urllib.request
 
     wanted = args.sets or sorted(SATLIB_SETS)
@@ -417,17 +429,13 @@ def cmd_fetch(args) -> int:
         url = f"{SATLIB_BASE}{name}.tar.gz"
         try:
             with urllib.request.urlopen(url, timeout=60) as resp:
-                with tempfile.NamedTemporaryFile(suffix=".tar.gz") as tmp:
-                    tmp.write(resp.read())
-                    tmp.flush()
-                    with tarfile.open(tmp.name, "r:gz") as tar:
-                        found = None
-                        for info in tar.getmembers():
-                            if Path(info.name).name == member:
-                                found = tar.extractfile(info).read()
-                                break
-                        if found is None:
-                            raise OSError(f"{member} not in archive")
+                body = io.BytesIO(resp.read())
+            with tarfile.open(fileobj=body, mode="r:gz") as tar:
+                info = next((i for i in tar.getmembers()
+                             if Path(i.name).name == member), None)
+                if info is None:
+                    raise OSError(f"{member} not in archive")
+                found = tar.extractfile(info).read()
             inst = parse_dimacs(found.decode())
         except Exception as exc:  # noqa: BLE001 - report and move on
             failures.append((name, url, exc))
@@ -458,9 +466,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if "budget" in args:
             args.budget = effective_budget(args.budget)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -7,7 +7,8 @@ layering of a simple graph's gates is exactly a proper edge coloring.
 within one color of the chromatic index (at most max degree + 1), in
 polynomial time and deterministically.  For cubic terms the interaction
 structure is a hypergraph; `color_hyperedges` colors it greedily from the
-colors already present at each vertex, and exactly for small inputs.
+colors already present at each vertex, and exactly for small inputs by
+trying each color count from the maximum degree up.
 Colorings and layers are keyed by the graph's own sorted int-tuple edges.
 
 A schedule adds one mixer layer after the cost layers, so its depth is the
@@ -161,15 +162,6 @@ def _greedy_coloring(edges: list[Edge]) -> list[int]:
 
 
 # module-level recursion: a closure calling itself is a reference cycle
-def _max_clique_size(size: int, candidates: set[int], adj, best: int) -> int:
-    best = max(best, size)
-    if size + len(candidates) <= best:
-        return best
-    for v in sorted(candidates):
-        best = _max_clique_size(size + 1, candidates & adj[v], adj, best)
-    return best
-
-
 def _place(pos: int, highest: int, k: int, order, adj, assigned) -> bool:
     if pos == len(order):
         return True
@@ -186,16 +178,15 @@ def _place(pos: int, highest: int, k: int, order, adj, assigned) -> bool:
     return False
 
 
-def _exact_coloring(edges: list[Edge], greedy: list[int]) -> list[int]:
+def _exact_coloring(edges: list[Edge], lower: int,
+                    greedy: list[int]) -> list[int]:
     n = len(edges)
     # at most EXACT_COLORING_LIMIT edges, so every pair is tested
     adj = [{j for j, f in enumerate(edges)
             if j != i and not set(e).isdisjoint(f)}
            for i, e in enumerate(edges)]
-    upper = max(greedy) + 1 if n else 0
-    lower = _max_clique_size(0, set(range(n)), adj, 1 if n else 0)
     order = sorted(range(n), key=lambda i: (-len(adj[i]), i))
-    for k in range(lower, upper):
+    for k in range(lower, max(greedy, default=-1) + 1):
         assigned = [-1] * n
         if _place(0, -1, k, order, adj, assigned):
             return assigned
@@ -211,12 +202,13 @@ def color_hyperedges(graph: IntGraph) -> dict[Edge, int]:
     Greedily, in sorted edge order, each hyperedge takes the smallest color
     not yet present at any of its vertices.  Up to EXACT_COLORING_LIMIT
     edges, a backtracking search over the edges' conflicts then lowers that
-    to the minimal color count.
+    to the minimal color count, trying each count from the maximum degree
+    up: the edges at a vertex conflict pairwise, so none is lower.
     """
     edges = sorted(graph.edges)
     assigned = _greedy_coloring(edges)
     if len(edges) <= EXACT_COLORING_LIMIT:
-        assigned = _exact_coloring(edges, assigned)
+        assigned = _exact_coloring(edges, graph.max_degree(), assigned)
     return dict(zip(edges, assigned))
 
 

@@ -238,6 +238,25 @@ EXAMPLE1_CLAUSES = [
     (1, -2, 5),
 ]
 
+# clause 10 repeats clause 1, so the native3 hypergraph has 11 hyperedges.
+# Its maximum degree is 8, its largest set of pairwise conflicting
+# hyperedges has 10 and it needs 10 colors, which greedy finds
+SLOW12_CLAUSES = [
+    (1, 5, -6), (-2, 3, 6), (-4, 5, 6), (2, -3, -5), (-1, -3, -5),
+    (2, 5, -6), (3, -5, 6), (-1, -2, -5), (1, 2, 6), (2, 4, 5), (-2, 3, 6),
+    (1, -3, 4),
+]
+
+# greedy colors this native3 hypergraph with 3 colors, the exact search
+# with 2, its maximum degree
+GAP4_CLAUSES = [(-5, -7, 8), (3, 4, -5), (-2, -6, -7), (-1, -3, 4)]
+
+
+def dimacs_text(num_vars: int, clauses) -> str:
+    """DIMACS text of the clauses as given, repeats and order kept."""
+    return "".join([f"p cnf {num_vars} {len(clauses)}\n",
+                    *(" ".join(map(str, c)) + " 0\n" for c in clauses)])
+
 
 def count_cover_work(monkeypatch) -> Counter:
     """Count the gvs graph builds ("gvs_graph") and the re-checks of a made

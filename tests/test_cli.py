@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from qdepth.cli import main
 from qdepth.cnf import example1, make_instance, to_dimacs
 
-from helpers import count_cover_work, random_3sat_instance
+from helpers import (GAP4_CLAUSES, SLOW12_CLAUSES, count_cover_work,
+                     dimacs_text, random_3sat_instance)
 import random
 
 SCHEMA = json.loads(
@@ -191,6 +192,46 @@ class TestAnalyze:
         assert target.read_text().startswith("instance ")
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "link.txt", "target.txt"]
+
+    def test_output_to_a_fifo_writes_into_it(self, tmp_path, capsys):
+        """-o to a pipe writes into the pipe; the pipe stays a pipe."""
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        # a reader first, so that opening the write end does not block
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["inspect", "example1", "-o", str(fifo)]) == 0
+            assert fifo.is_fifo()
+            text = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert main(["inspect", "example1"]) == 0
+        assert capsys.readouterr() == (text, "")
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+    def test_output_to_dev_stdout_reaches_the_pipe(self):
+        proc = run_cli("inspect", "example1", "-o", "/dev/stdout")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == run_cli("inspect", "example1").stdout
+        assert proc.stdout.startswith(b"instance ")
+
+    @pytest.mark.parametrize("num_vars, clauses, depth, warnings", [
+        (8, GAP4_CLAUSES, "3..3", []),
+        (6, SLOW12_CLAUSES, "9..11",
+         ["qdepth: warning: clause #10 repeats clause #1: (-2, 3, 6)"]),
+    ], ids=["exact-below-greedy", "greedy-is-exact"])
+    def test_native3_depth_from_the_exact_search(self, num_vars, clauses,
+                                                 depth, warnings, tmp_path,
+                                                 capsys):
+        """Up to 12 hyperedges, native3's depth is the minimal coloring's:
+        2 colors where greedy takes 3, and greedy's 10 where none fewer
+        exists."""
+        path = tmp_path / "f.cnf"
+        path.write_text(dimacs_text(num_vars, clauses))
+        assert main(["analyze", str(path), "--method", "native3"]) == 0
+        out, err = capsys.readouterr()
+        assert f"depth:         {depth}\n" in out
+        assert err.splitlines() == warnings
 
 
 class TestCompare:
@@ -545,6 +586,68 @@ class TestFetch:
         (tmp_path / "uf20-01.cnf").write_text(to_dimacs(example1()))
         assert main(["fetch", "uf20-91", "--dest", str(tmp_path)]) == 0
         assert "already present" in capsys.readouterr().out
+
+    @staticmethod
+    def serve(monkeypatch, body: bytes) -> list:
+        """Answer every download with `body`; returns the URLs asked for."""
+        import io
+        import urllib.request
+
+        asked = []
+
+        def urlopen(url, timeout):
+            asked.append(url)
+            return io.BytesIO(body)
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        return asked
+
+    @staticmethod
+    def tar_gz(members: dict) -> bytes:
+        import io
+        import tarfile
+
+        buf = io.BytesIO()
+        with tarfile.open(fileobj=buf, mode="w:gz") as tar:
+            for name, text in members.items():
+                data = text.encode()
+                info = tarfile.TarInfo(name)
+                info.size = len(data)
+                tar.addfile(info, io.BytesIO(data))
+        return buf.getvalue()
+
+    def test_download_writes_the_member(self, tmp_path, monkeypatch, capsys):
+        text = to_dimacs(example1())
+        asked = self.serve(monkeypatch, self.tar_gz({
+            "uf20-91/uf20-02.cnf": "p cnf 1 1\n1 0\n",
+            "uf20-91/uf20-01.cnf": text}))
+        assert main(["fetch", "uf20-91", "--dest", str(tmp_path)]) == 0
+        assert capsys.readouterr() == (
+            f"{tmp_path}/uf20-01.cnf: fetched (5 vars, 4 clauses)\n", "")
+        assert asked == [
+            "https://www.cs.ubc.ca/~hoos/SATLIB/Benchmarks/SAT/RND3SAT/"
+            "uf20-91.tar.gz"]
+        assert (tmp_path / "uf20-01.cnf").read_text() == text
+        assert [p.name for p in tmp_path.iterdir()] == ["uf20-01.cnf"]
+
+    def test_archive_without_the_member_is_1(self, tmp_path, monkeypatch,
+                                             capsys):
+        self.serve(monkeypatch, self.tar_gz({"uf20-91/uf20-02.cnf": "x"}))
+        assert main(["fetch", "uf20-91", "--dest", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        failure = err.split("could not download:\n")[1].splitlines()[0]
+        assert failure.startswith("  uf20-91: ")
+        assert failure.endswith(" (uf20-01.cnf not in archive)")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_body_that_is_not_gzip_is_1(self, tmp_path, monkeypatch, capsys):
+        self.serve(monkeypatch, b"<html>not found</html>")
+        assert main(["fetch", "uf20-91", "--dest", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "could not download:\n  uf20-91: " in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestImportBoundary:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -21,6 +22,7 @@ from qdepth.schedule import (
 )
 
 from helpers import (
+    SLOW12_CLAUSES,
     assert_proper_edge_coloring,
     random_3sat_instance,
     random_graph,
@@ -231,6 +233,21 @@ class TestHyperedgeColoring:
     def test_deterministic(self):
         g = native3_graph(example1())
         assert color_hyperedges(g) == color_hyperedges(g)
+
+    @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
+    def test_exact_search_counts_up_from_max_degree(self):
+        """Eleven hyperedges with Δ 8 and 10 pairwise conflicting: proving
+        that 8 and 9 colors fail takes milliseconds, so greedy's 10 stand
+        well within the time limit."""
+        g = native3_graph(make_instance(SLOW12_CLAUSES))
+        assert (len(g.edges), g.max_degree()) == (11, 8)
+        started = time.perf_counter()
+        coloring = color_hyperedges(g)
+        depth = build_schedule(g).depth
+        elapsed = time.perf_counter() - started
+        assert len(set(coloring.values())) == 10
+        assert depth == 11
+        assert elapsed < 0.25
 
     @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
     def test_matches_greedy_over_pairwise_conflicts(self):
