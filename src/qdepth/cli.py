@@ -11,7 +11,7 @@ Subcommands:
 
 Exit codes: 0 success, 2 solver budget exhausted (with or without an
 incumbent), 64 usage errors, 65 unparseable instance files and any OSError
-(unreadable inputs, unwritable -o paths, the solver's temporary MPS file),
+(unreadable inputs, unwritable -o paths, the solver's temporary LP file),
 1 fetch/network failures; a 65 prints one `error:` line.
 
 Outputs are deterministic byte-for-byte unless --timings is passed; a
@@ -184,18 +184,23 @@ def effective_budget(flag_value: float) -> float:
         raise SystemExit(EXIT_USAGE) from None
 
 
+def read_reporting(read, source) -> Instance:
+    """`read(source)`, reporting each repeated clause on stderr as one plain
+    line rather than in Python's warning format."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DuplicateClauseWarning)
+        instance = read(source)
+    for warning in caught:
+        print(f"qdepth: warning: {warning.message}", file=sys.stderr)
+    return instance
+
+
 def load_instance(source: str) -> tuple[str, Instance]:
-    """Read an instance file, reporting each repeated clause on stderr as
-    one plain line rather than in Python's warning format."""
+    """Read an instance file, or the bundled example by name."""
     path = Path(source)
     if source == "example1" and not path.exists():
         return "example1", example1()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", DuplicateClauseWarning)
-        instance = load_dimacs(path)
-    for warning in caught:
-        print(f"qdepth: warning: {warning.message}", file=sys.stderr)
-    return path.stem, instance
+    return path.stem, read_reporting(load_dimacs, path)
 
 
 def write_out(text: str, output: Path | None) -> None:
@@ -436,7 +441,7 @@ def cmd_fetch(args) -> int:
                 if info is None:
                     raise OSError(f"{member} not in archive")
                 found = tar.extractfile(info).read()
-            inst = parse_dimacs(found.decode())
+            inst = read_reporting(parse_dimacs, found.decode())
         except Exception as exc:  # noqa: BLE001 - report and move on
             failures.append((name, url, exc))
             continue

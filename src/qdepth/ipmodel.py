@@ -1,14 +1,15 @@
-"""The pair-selection integer program and its text formats.
+"""The pair-selection integer program and its text form.
 
 `build_ip` writes the covering problem as an integer program whose
 objective is the max degree plus a tie-break on the number of substitutions,
 scaled by 1/(10 |C|) so it can never outweigh a degree step.  The objective
 is held exactly as integers over the common denominator 10 |C| (10 with no
 clauses), so building or exporting the program needs no `fractions`.
-`export_lp` renders it in CPLEX LP format for external solvers; `_mps_text`
-renders it as the free-format MPS file that `optimize.solve_ip_exact` hands
-to HiGHS.  Both divide each objective weight by the denominator once, which
-gives the correctly rounded double of the exact coefficient.
+`export_lp` renders it in CPLEX LP format, the one text form of the
+program: `qdepth export` writes it and `optimize.solve_ip_exact` hands it to
+HiGHS, so an exported file is exactly the program the solver solved.  It
+divides each objective weight by the denominator once, which gives the
+correctly rounded double of the exact coefficient.
 
 The degree rows count a u-free edge once per distinct (pair, free) key, as
 `graph.gvs_graph` does.  A clause repeating an earlier clause's variable
@@ -129,34 +130,6 @@ def build_ip(instance: Instance) -> IpModel:
     )
 
 
-def _mps_text(model: IpModel) -> str:
-    """The program as a free-format MPS file, laid out as `milp` passed it:
-    columns in variable order, every "<=" row before every "=" row, all
-    columns integer, obj in [0, inf) and the rest in [0, 1].  Values are
-    written as `repr` of their float, which reads back bit for bit."""
-    names = model.names
-    rows = sorted(model.rows, key=lambda row: row[2] == "=")
-    denominator = model.denominator
-    # a column's entries must be contiguous: its cost, then its rows in order
-    columns: list[list[tuple[str, float]]] = [
-        [("cost", v / denominator)] if v else [] for v in model.objective]
-    for row, coeffs, _, _ in rows:
-        for j, v in coeffs:
-            columns[j].append((row, float(v)))
-    lines = ["NAME qdepth", "ROWS", " N cost"]
-    lines += [f" {'E' if sense == '=' else 'L'} {row}"
-              for row, _, sense, _ in rows]
-    lines += ["COLUMNS", " MARKER 'MARKER' 'INTORG'"]
-    lines += [f" {names[j]} {row} {v!r}"
-              for j, column in enumerate(columns) for row, v in column]
-    lines += [" MARKER 'MARKER' 'INTEND'", "RHS"]
-    lines += [f" rhs {row} {float(rhs)!r}" for row, _, _, rhs in rows]
-    lines += ["BOUNDS", f" PL bnd {names[0]}"]
-    lines += [f" UP bnd {name} 1.0" for name in names[1:]]
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
-
-
 def _coef_text(value: int, denominator: int = 1) -> str:
     """value / denominator: as an integer when it is one, else the repr of
     its correctly rounded float."""
@@ -166,35 +139,33 @@ def _coef_text(value: int, denominator: int = 1) -> str:
 
 
 def export_lp(model: IpModel) -> str:
-    """Render the program in CPLEX LP format (for external solvers)."""
+    """Render the program in CPLEX LP format.
+
+    HiGHS numbers an LP file's columns by first appearance, so the objective
+    lists every column in variable order, each z with weight 0.  Every "<="
+    row comes before every "=" row, each group in `model.rows` order: the
+    layout `scipy.optimize.milp` hands HiGHS, which the solve is checked
+    against."""
     names = model.names
 
     def terms(coeffs: Sequence[tuple[int, int]], denominator: int = 1) -> str:
-        # positive terms first so rows read "degree stuff - obj <= rhs"
-        ordered = [t for t in coeffs if t[1] > 0] + [t for t in coeffs if t[1] < 0]
+        # nonnegative terms first so rows read "degree stuff - obj <= rhs"
+        ordered = ([t for t in coeffs if t[1] >= 0]
+                   + [t for t in coeffs if t[1] < 0])
         parts = []
-        for idx, (j, v) in enumerate(ordered):
+        for j, v in ordered:
             mag = abs(v)
             body = (names[j] if mag == denominator
                     else f"{_coef_text(mag, denominator)} {names[j]}")
-            if idx == 0:
-                parts.append(body if v > 0 else f"- {body}")
-            else:
-                parts.append(f"+ {body}" if v > 0 else f"- {body}")
-        return " ".join(parts)
+            parts.append(f"{'-' if v < 0 else '+'} {body}")
+        return " ".join(parts).removeprefix("+ ")
 
-    obj_coeffs = [(j, v) for j, v in enumerate(model.objective) if v != 0]
-    lines = ["Minimize", f" total: {terms(obj_coeffs, model.denominator)}",
-             "Subject To"]
-    for name, coeffs, sense, rhs in model.rows:
-        op = "<=" if sense == "<=" else "="
-        lines.append(f" {name}: {terms(coeffs)} {op} {_coef_text(rhs)}")
-    lines.append("Bounds")
-    lines.append(" obj >= 0")
-    lines.append("Binary")
-    for name in names[1:]:
-        lines.append(f" {name}")
-    lines.append("General")
-    lines.append(" obj")
-    lines.append("End")
+    rows = sorted(model.rows, key=lambda row: row[2] == "=")
+    objective = terms(list(enumerate(model.objective)), model.denominator)
+    lines = ["Minimize", f" total: {objective}", "Subject To"]
+    lines += [f" {name}: {terms(coeffs)} {sense} {_coef_text(rhs)}"
+              for name, coeffs, sense, rhs in rows]
+    lines += ["Bounds", " obj >= 0", "Binary"]
+    lines += [f" {name}" for name in names[1:]]
+    lines += ["General", " obj", "End"]
     return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ three pairs substituted, and the choice drives the maximum interaction
 degree, hence the depth bound.
 
 The work is split by what each command runs.  `ipmodel` builds the integer
-program and writes it as LP or MPS text (`export` loads it alone);
+program and writes it as LP text (`export` loads it alone);
 `greedy` holds the randomized heuristic (`analyze --method gvs-greedy`
 loads it alone).  Both number the candidate pairs by `product.pair_index`,
 so greedy's seeded draws and the program's y columns follow one sorted
@@ -26,12 +26,12 @@ exists to cross-check the integer program on small inputs.
 `solve_ip_exact` loads scipy's compiled HiGHS extension,
 scipy/optimize/_highspy/_core, straight from its file (`_highs`), never the
 `scipy.optimize` package, whose import costs several times the solve on a
-uf20-sized instance.  It hands HiGHS the program as a temporary free-format
-MPS file (`ipmodel._mps_text`): the extension's in-memory model takes its
-vectors as numpy arrays, and reading a file is what keeps numpy, the
-largest import left, from loading at all.  Building or exporting the
-program and the heuristics load no part of scipy; on the command line only
-`gvs-ip` (in `analyze` and `histogram`) and `compare` do.
+uf20-sized instance.  It hands HiGHS the program as a temporary LP file,
+the text `export` writes (`ipmodel.export_lp`): the extension's in-memory
+model takes its vectors as numpy arrays, and reading a file is what keeps
+numpy, the largest import left, from loading at all.  Building or exporting
+the program and the heuristics load no part of scipy; on the command line
+only `gvs-ip` (in `analyze` and `histogram`) and `compare` do.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from . import DEFAULT_BUDGET_SECS
 from .cnf import Instance
 from .greedy import greedy_batch, greedy_cover  # noqa: F401 - re-exported
 from .graph import IntGraph, gvs_graph, linear_graph
-from .ipmodel import (IpModel, _mps_text, build_ip,  # noqa: F401 - re-exported
+from .ipmodel import (IpModel, build_ip,  # noqa: F401 - re-exported
                       export_lp, tie_break_denominator)
 from .product import Cover, Pair, make_cover, quadratic_pairs
 from .reports import ComparisonRow
@@ -160,11 +160,11 @@ def solve_ip_exact(
     highs = h._Highs()
     options = h.HighsOptions()
     options.log_to_console = False
-    fd, path = tempfile.mkstemp(suffix=".mps")
+    fd, path = tempfile.mkstemp(suffix=".lp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(_mps_text(model))
-        # the MPS reader obeys time_limit, so the budget comes after it
+            fh.write(export_lp(model))
+        # the budget is for the solve alone, so it comes after the read
         rejected = (highs.passOptions(options) == h.HighsStatus.kError
                     or highs.readModel(path) == h.HighsStatus.kError)
     finally:

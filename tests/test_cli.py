@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -630,6 +631,18 @@ class TestFetch:
         assert (tmp_path / "uf20-01.cnf").read_text() == text
         assert [p.name for p in tmp_path.iterdir()] == ["uf20-01.cnf"]
 
+    def test_repeated_clause_is_one_plain_warning_line(self, tmp_path,
+                                                       monkeypatch, capsys):
+        self.serve(monkeypatch, self.tar_gz({
+            "uf20-91/uf20-01.cnf": "p cnf 3 2\n1 2 3 0\n1 2 3 0\n"}))
+        with warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
+            assert main(["fetch", "uf20-91", "--dest", str(tmp_path)]) == 0
+        assert escaped == []
+        assert capsys.readouterr() == (
+            f"{tmp_path}/uf20-01.cnf: fetched (3 vars, 2 clauses)\n",
+            "qdepth: warning: clause #1 repeats clause #0: (1, 2, 3)\n")
+
     def test_archive_without_the_member_is_1(self, tmp_path, monkeypatch,
                                              capsys):
         self.serve(monkeypatch, self.tar_gz({"uf20-91/uf20-02.cnf": "x"}))
@@ -670,7 +683,7 @@ class TestImportBoundary:
         ("compare", "example1", "--seeds", "2"),
     ], ids=["gvs-ip", "compare"])
     def test_exact_solve_loads_only_the_highs_extension(self, argv):
-        # HiGHS reads the program from an MPS file, so numpy never loads
+        # HiGHS reads the program from an LP file, so numpy never loads
         proc = run_python("-c", HEAVY_PROBE, *argv)
         assert proc.stderr.decode().split() == [
             "0", "scipy.optimize._highspy._core"]

@@ -9,7 +9,8 @@ from itertools import accumulate, chain
 
 import pytest
 
-from qdepth.cnf import example1, make_instance
+from qdepth.cli import main
+from qdepth.cnf import example1, make_instance, to_dimacs
 from qdepth.gvs import cover_graph, gvs_derived_graph
 from qdepth.product import (
     candidate_pairs,
@@ -250,7 +251,8 @@ def reference_cost(model):
     """The objective as `milp` was handed it, from the exact tie-break
     1/(10 |C|) rather than from `model.objective`."""
     m = model.instance.num_clauses
-    return ([1.0] + [float(Fraction(1, 10 * m))] * len(model.pairs)
+    # a formula with no clauses has no pairs, so 1/(10 |C|) is never formed
+    return ([1.0] + [float(Fraction(1, 10 * m)) for _ in model.pairs]
             + [0.0] * len(model.covers))
 
 
@@ -404,6 +406,10 @@ def uf50_draw():
     return draw_3sat(50, 218, random.Random(0))
 
 
+def uf20_draw():
+    return draw_3sat(20, 91, random.Random(0))
+
+
 class TestSolverInput:
     @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
     def test_read_program_matches_reference_lp(self, monkeypatch):
@@ -418,7 +424,8 @@ class TestSolverInput:
         use_highs_double(monkeypatch, _Highs=Recording)
         rng = random.Random(67)
         instances = [example1(), make_instance([(1, 2, 3), (-1, 2, 3),
-                                                (3, 4, 5)])]
+                                                (3, 4, 5)]),
+                     make_instance([], num_vars=3)]
         for n in (5, 5, 20, 20, 50):
             instances.append(draw_3sat(n, round(4.26 * n), rng))
         for inst in instances:
@@ -430,14 +437,15 @@ class TestSolverInput:
 
     @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
     def test_millisecond_budget_reads_the_whole_program(self):
-        # the MPS reader obeys time_limit; a budget passed before the read
-        # makes HiGHS reject the program instead of timing out the solve
+        # the budget is passed after the read: a file reader that obeys
+        # time_limit (HiGHS's MPS reader does; its LP reader, in scipy
+        # 1.17.1, does not) would reject the program instead of timing out
         sol = solve_ip_exact(uf50_draw(), budget_secs=0.001)
         assert sol.status in ("timed_out", "feasible_bound")
 
     @pytest.mark.parametrize("accepted", [True, False],
                              ids=["solved", "rejected"])
-    def test_no_mps_file_left_behind(self, tmp_path, monkeypatch, accepted):
+    def test_no_lp_file_left_behind(self, tmp_path, monkeypatch, accepted):
         monkeypatch.setenv("TMPDIR", str(tmp_path))
         monkeypatch.setattr(tempfile, "tempdir", None)
         h = _highs()
@@ -458,6 +466,51 @@ class TestSolverInput:
                 solve_ip_exact(example1())
         assert read == [(str(tmp_path), True)]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
+    def test_reads_the_program_export_writes(self, tmp_path, monkeypatch,
+                                             capsys):
+        h = _highs()
+        read = []
+
+        class Reading(h._Highs):
+            def readModel(self, path):
+                with open(path) as fh:
+                    read.append(fh.read())
+                return super().readModel(path)
+
+        use_highs_double(monkeypatch, _Highs=Reading)
+        source = tmp_path / "uf20.cnf"
+        source.write_text(to_dimacs(uf20_draw()))
+        for name, inst in (("example1", example1()),
+                           (str(source), uf20_draw())):
+            assert main(["export", name]) == 0
+            solve_ip_exact(inst)
+            assert read.pop() == capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("ignore::qdepth.cnf.DuplicateClauseWarning")
+    def test_exported_program_picks_the_solvers_pairs(self, tmp_path):
+        # on this draw HiGHS's answer hangs on the layout: an objective that
+        # leaves out the z columns, with the "=" rows before the links,
+        # gives another optimal cover, 4 pairs apart
+        inst = uf20_draw()
+        source, lp = tmp_path / "uf20.cnf", tmp_path / "uf20.lp"
+        source.write_text(to_dimacs(inst))
+        assert main(["export", str(source), "-o", str(lp)]) == 0
+        h = _highs()
+        highs = h._Highs()
+        options = h.HighsOptions()
+        options.log_to_console = False
+        options.mip_rel_gap = 0.0
+        assert highs.passOptions(options) == h.HighsStatus.kOk
+        assert highs.readModel(str(lp)) == h.HighsStatus.kOk
+        highs.run()
+        assert highs.getModelStatus() == h.HighsModelStatus.kOptimal
+        chosen = [tuple(int(v) for v in name.split("_")[1:])
+                  for name, x in zip(highs.getLp().col_names_,
+                                     highs.getSolution().col_value)
+                  if name.startswith("y_") and x > 0.5]
+        assert chosen == list(solve_ip_exact(inst).cover.used)
 
 
 class TestLimitedSolves:
